@@ -16,7 +16,7 @@
 # with the sampler and alert engine under the same sanitizers, and its JSON
 # and timeseries CSV join the determinism double-run. Finally, a baseline
 # gate: with resumption and tracing off (the defaults), the gated bench
-# artifacts (E1/E4/E5/E9/E10/E11/E12/E14) must be byte-identical to the
+# artifacts (E1-E5/E9/E10/E11/E12/E14) must be byte-identical to the
 # ones a clean checkout of origin/main (or main) produces — new machinery
 # must be invisible until switched on. With the crypto offload engine
 # (E14), the abuse library, the slab allocator (E16), and the timeseries
@@ -126,14 +126,6 @@ for entry in E1:bench_aes_asm_vs_c E9:bench_fault_soak; do
 done
 
 echo
-echo "== fleet: threaded boards == sequential boards (digest gate) =="
-# Re-run the Fleet determinism tests with a thread oversubscription that
-# shakes out scheduling races the default ctest pass may not have seen.
-RMC_BOARD_THREADS=8 "$repo_root/build/tests/test_dispatch" \
-  --gtest_filter='Fleet.*' --gtest_repeat=3 >/dev/null
-echo "fleet digests identical across thread schedules"
-
-echo
 echo "== trace determinism: E12 json + chrome trace + pcap byte-identical =="
 "$san_dir/bench/bench_trace_audit" --json "$tmp/g.json" \
   --trace "$tmp/g.trace.json" --pcap "$tmp/g.pcap" >/dev/null
@@ -152,14 +144,16 @@ else
   echo "== baseline: new machinery off => gated benches identical to main =="
   # Default-off machinery (resumption, tracing, the engine backend, the
   # record/cache hardening telemetry, the timeseries sampler + SLO engine)
-  # must be invisible: run the gated benches (E1/E4/E5/E9/E10/E11/E12/E14 —
+  # must be invisible: run the gated benches (E1-E5/E9/E10/E11/E12/E14 —
   # none of whose configs switch the new knobs on) from this tree AND from
   # a pristine main worktree, and require byte-identical JSON. This is the
   # do-no-harm gate — the hardening/observability paths are compiled into
   # every binary here, and merely compiling them in must not move a byte.
   # In particular E1/E9/E11 pin sampler-off byte-identity: the sampler and
   # hot-path latency histograms are linked into all three, but no sampler
-  # is attached and services latency telemetry defaults off.
+  # is attached and services latency telemetry defaults off. E2/E3 pin the
+  # dcc -> rasm image bytes and cycle counts of the optimization and
+  # code-size studies.
   base_ref="origin/main"
   git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null || base_ref="main"
   if git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null &&
@@ -172,7 +166,8 @@ else
     # A gated bench that the baseline ref predates (a brand-new experiment)
     # has nothing to compare against — skip it rather than fail the build.
     gated=()
-    for entry in E1:bench_aes_asm_vs_c E4:bench_connections \
+    for entry in E1:bench_aes_asm_vs_c E2:bench_optimizations \
+                 E3:bench_code_size E4:bench_connections \
                  E5:bench_ssl_throughput E9:bench_fault_soak \
                  E10:bench_crash_soak E11:bench_resumption \
                  E12:bench_trace_audit E14:bench_crypto_offload; do

@@ -8,15 +8,14 @@
 //   * `BOOL HL`        — HL = (HL != 0)
 //   * `LD XPC,A` / `LD A,XPC` — bank-switch the 8 KiB xmem window
 //   * `LCALL` / `LJP` / `LRET` — far control flow across banks
-// Standard Z80 encodings are used for the Z80 core. Rabbit-specific forms
-// use ED-prefixed encodings of our own choosing (documented next to each
-// case); we control both the assembler and this core, and make no claim of
-// binary compatibility with real Rabbit ROM images.
+// Encodings, lengths and cycle costs live in one table, rabbit/isa.h; both
+// dispatch paths decode through it.
 //
 // Dispatch. Two interchangeable execution paths produce the same
 // architectural stream (DESIGN.md §15):
-//   * kLegacy — the original one-switch-per-opcode `step()` loop; every
-//     instruction decodes from scratch and peripherals tick per step.
+//   * kLegacy — the reference `step()` loop: every instruction decodes
+//     through the table, runs one switch per opcode page, and peripherals
+//     tick per step.
 //   * kFast   — `run()` predecodes instructions into per-physical-page
 //     micro-op tables and dispatches them through computed gotos (a dense
 //     switch where the compiler lacks the extension). Peripheral ticks are
@@ -29,11 +28,6 @@
 // scripts/check.sh dispatch matrix holds the two paths to byte-identical
 // bench JSON.
 //
-// Cycle model. Per-instruction costs follow the *shape* of the Rabbit 2000
-// datasheet (register ops 2, immediate 4-ish, memory 5-13, call/ret 8-12,
-// far calls ~19). Absolute values are approximations; the experiments in
-// bench/ depend only on ratios between builds running on this same model.
-//
 // Flags. S, Z, H, P/V, N, C with conventional Z80 arithmetic semantics
 // (P/V = overflow for add/sub/cp, parity for logicals). The undocumented
 // X/Y copy bits are not modelled (bits 3/5 of F are only ever written by
@@ -45,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -191,19 +186,19 @@ class Cpu : public CodeWatch {
   // keyed by physical address so bank switches never invalidate it. Entries
   // only become stale when the backing bytes change; Memory's code watch
   // reports that (on_code_write) and the page is wiped for re-decode.
-  /// Longest decodable instruction: ED CD nn nn xpc (LCALL). Bounds both
-  /// the page-edge guard (fetches never cross a 4 KiB page on the fast
-  /// path) and invalidation (a store can only stale decodings that start
-  /// within kMaxUopBytes-1 bytes before it).
+  /// Longest decodable instruction: ED CD nn nn xpc (LCALL); cpu.cc checks
+  /// it against the table. Bounds both the page-edge guard (fetches never
+  /// cross a 4 KiB page on the fast path) and invalidation (a store can only
+  /// stale decodings that start within kMaxUopBytes-1 bytes before it).
   static constexpr u32 kMaxUopBytes = 5;
-  struct Uop {
-    u8 kind = 0;  // UKind; 0 = not decoded
+  // A uop stores no cycle cost: each kind charges its table cost as a
+  // compile-time constant (cpu_fast.cc). Eight bytes, copied in one load.
+  struct alignas(8) Uop {
+    u8 kind = 0;  // isa::UKind; 0 = not decoded
     u8 len = 0;   // logical PC advance
-    u8 cyc = 0;   // base cycle cost
-    u8 a = 0;     // operand selector (register/condition/ALU op...)
-    u8 b = 0;     // second operand selector
-    u8 pad = 0;
-    u16 imm = 0;  // immediate / displacement
+    u8 a = 0;     // opcode bits 5-3; bit 7 set for an FD (IY) prefix
+    u8 b = 0;     // opcode bits 2-0, or the third operand byte (LJP/LCALL)
+    u16 imm = 0;  // first two operand bytes, little-endian
   };
   struct UopPage {
     std::array<Uop, Memory::kPageSize> ops;
@@ -365,6 +360,110 @@ class Cpu : public CodeWatch {
     return res;
   }
 
+  // Multi-step instruction semantics, shared verbatim by both dispatch
+  // paths like the ALU above.
+  void rot_a(unsigned y) {  // RLCA RRCA RLA RRA (opcode bits 5-3)
+    Registers& r = regs_;
+    bool carry;
+    switch (y) {
+      case 0:  // RLCA
+        carry = (r.a & 0x80) != 0;
+        r.a = static_cast<u8>((r.a << 1) | (carry ? 1 : 0));
+        break;
+      case 1:  // RRCA
+        carry = (r.a & 1) != 0;
+        r.a = static_cast<u8>((r.a >> 1) | (carry ? 0x80 : 0));
+        break;
+      case 2:  // RLA
+        carry = (r.a & 0x80) != 0;
+        r.a = static_cast<u8>((r.a << 1) | (flag(Flag::C) ? 1 : 0));
+        break;
+      default:  // RRA
+        carry = (r.a & 1) != 0;
+        r.a = static_cast<u8>((r.a >> 1) | (flag(Flag::C) ? 0x80 : 0));
+        break;
+    }
+    set_flag(Flag::C, carry);
+    set_flag(Flag::N, false);
+    set_flag(Flag::H, false);
+  }
+  void daa() {
+    Registers& r = regs_;
+    u8 correction = 0;
+    bool carry = flag(Flag::C);
+    if (flag(Flag::H) || (r.a & 0x0F) > 9) correction |= 0x06;
+    if (carry || r.a > 0x99) {
+      correction |= 0x60;
+      carry = true;
+    }
+    const u8 before = r.a;
+    r.a = flag(Flag::N) ? static_cast<u8>(r.a - correction)
+                        : static_cast<u8>(r.a + correction);
+    set_flag(Flag::S, (r.a & 0x80) != 0);
+    set_flag(Flag::Z, r.a == 0);
+    set_flag(Flag::H, ((before ^ r.a) & 0x10) != 0);
+    set_flag(Flag::PV, parity_even(r.a));
+    set_flag(Flag::C, carry);
+  }
+  void exx() {
+    Registers& r = regs_;
+    std::swap(r.b, r.b2); std::swap(r.c, r.c2);
+    std::swap(r.d, r.d2); std::swap(r.e, r.e2);
+    std::swap(r.h, r.h2); std::swap(r.l, r.l2);
+  }
+  u16 ex_sp(u16 v) {  // EX (SP),rr: returns the old stack top
+    const u16 top = mem_.read16(regs_.sp);
+    mem_.write16(regs_.sp, v);
+    return top;
+  }
+  void mul() {  // Rabbit MUL: HL:BC = BC * DE, signed
+    Registers& r = regs_;
+    const auto prod = static_cast<common::i32>(
+                          static_cast<common::i16>(r.bc())) *
+                      static_cast<common::i16>(r.de());
+    const auto up = static_cast<u32>(prod);
+    r.set_bc(static_cast<u16>(up & 0xFFFF));
+    r.set_hl(static_cast<u16>(up >> 16));
+  }
+  void bool_hl() {  // Rabbit BOOL HL: HL = (HL != 0); Z/C/S updated
+    const u16 v = regs_.hl();
+    regs_.set_hl(v != 0 ? 1 : 0);
+    set_flag(Flag::Z, v == 0);
+    set_flag(Flag::C, false);
+    set_flag(Flag::S, false);
+  }
+  void test_bit(unsigned b, u8 v) {  // BIT b,v
+    set_flag(Flag::Z, (v & (1U << b)) == 0);
+    set_flag(Flag::H, true);
+    set_flag(Flag::N, false);
+  }
+  /// One LDI/LDD/LDIR/LDDR pass (`y` = opcode bits 5-3); true when a
+  /// repeating form must run again.
+  bool block_ld(unsigned y) {
+    Registers& r = regs_;
+    const int dir = (y & 1) ? -1 : 1;
+    mem_.write(r.de(), mem_.read(r.hl()));
+    r.set_hl(static_cast<u16>(r.hl() + dir));
+    r.set_de(static_cast<u16>(r.de() + dir));
+    r.set_bc(static_cast<u16>(r.bc() - 1));
+    set_flag(Flag::H, false);
+    set_flag(Flag::N, false);
+    set_flag(Flag::PV, r.bc() != 0);
+    return (y & 2) != 0 && r.bc() != 0;
+  }
+  // Far control flow: the callee's bank byte travels with the return
+  // address (Rabbit LCALL/LJP/LRET semantics).
+  void lcall(u16 nn, u8 xpc) {
+    push16(regs_.pc);
+    push16(mem_.xpc());
+    regs_.pc = nn;
+    mem_.set_xpc(xpc);
+  }
+  void lret() {
+    mem_.set_xpc(static_cast<u8>(pop16()));
+    regs_.pc = pop16();
+  }
+
   // Rotate/shift group (CB prefix).
   u8 rot_op(unsigned op, u8 v);
 
@@ -421,15 +520,18 @@ class Cpu : public CodeWatch {
     }
   }
 
-  // Prefix dispatchers. Each returns cycles consumed.
-  unsigned exec_main(u8 op);
-  unsigned exec_cb();
-  unsigned exec_ed();
-  unsigned exec_index(u16& xy);  // DD (IX) / FD (IY)
-  unsigned exec_index_cb(u16 base);
+  // Reference semantics, one switch per opcode page. The table has already
+  // vouched for the opcode; each returns whether a conditional form was
+  // taken (or a block move repeats), which selects the row's `alt` cost.
+  bool exec_main(u8 op);
+  bool exec_cb();
+  bool exec_ed();
+  bool exec_index(u16& xy);  // DD (IX) / FD (IY)
+  void exec_index_cb(u16 base);
 
   unsigned service_interrupt();
-  unsigned illegal(u8 prefix, u8 op);
+  /// Reports the `head` opcode bytes at PC as illegal and skips them.
+  unsigned illegal(unsigned head);
 
   Memory& mem_;
   IoBus& io_;

@@ -21,7 +21,10 @@
 // byte-identical bench JSON.
 #include "rabbit/cpu.h"
 
+#include <array>
 #include <utility>
+
+#include "rabbit/isa.h"
 
 namespace rmc::rabbit {
 
@@ -29,327 +32,51 @@ namespace {
 using common::i8;
 
 constexpr u32 kPageMask = Memory::kPageSize - 1;
-}  // namespace
 
-// Micro-op kinds. The enum and the computed-goto table are generated from
-// this single list so they can never fall out of step. Blocks of eight ALU
-// kinds are laid out in (op>>3)&7 order — ADD ADC SUB SBC AND XOR OR CP —
-// and indexed arithmetically by the decoder.
-#define RMC_UOP_LIST(X)                                                   \
-  X(Invalid) X(Slow) X(Nop)                                               \
-  X(LdRR) X(LdRMhl) X(StMhlR) X(LdRN) X(StHlN)                            \
-  X(LdABc) X(LdADe) X(StBcA) X(StDeA) X(LdANn) X(StNnA)                   \
-  X(LdBcI) X(LdDeI) X(LdHlI) X(LdSpI)                                     \
-  X(StIndHl) X(LdHlInd)                                                   \
-  X(IncBc) X(IncDe) X(IncHl) X(IncSp)                                     \
-  X(DecBc) X(DecDe) X(DecHl) X(DecSp)                                     \
-  X(IncR) X(IncMhl) X(DecR) X(DecMhl)                                     \
-  X(Rlca) X(Rrca) X(Rla) X(Rra)                                           \
-  X(Daa) X(Cpl) X(Scf) X(Ccf)                                             \
-  X(ExAf) X(Exx) X(ExDeHl) X(ExSpHl)                                      \
-  X(AddHlBc) X(AddHlDe) X(AddHlHl) X(AddHlSp)                             \
-  X(Djnz) X(Jr) X(JrCc)                                                   \
-  X(AddR) X(AdcR) X(SubR) X(SbcR) X(AndR) X(XorR) X(OrR) X(CpR)           \
-  X(AddMhl) X(AdcMhl) X(SubMhl) X(SbcMhl) X(AndMhl) X(XorMhl) X(OrMhl)    \
-  X(CpMhl)                                                                \
-  X(AddN) X(AdcN) X(SubN) X(SbcN) X(AndN) X(XorN) X(OrN) X(CpN)           \
-  X(RetCc) X(Ret) X(PopBc) X(PopDe) X(PopHl) X(PopAf)                     \
-  X(PushBc) X(PushDe) X(PushHl) X(PushAf)                                 \
-  X(Jp) X(JpCc) X(JpHl) X(Call) X(CallCc) X(Rst) X(Mul)                   \
-  X(Out) X(In) X(LdSpHl) X(Di)                                            \
-  X(CbRotR) X(CbRotMhl) X(CbBitR) X(CbBitMhl)                             \
-  X(CbResR) X(CbResMhl) X(CbSetR) X(CbSetMhl)                             \
-  X(SbcHlRp) X(AdcHlRp) X(EdStRp) X(EdLdRp)                               \
-  X(Neg) X(LdXpcA) X(LdAXpc) X(Bool)                                      \
-  X(Ljp) X(Lcall) X(Lret) X(BlockLd)                                      \
-  X(IxLdRM) X(IxStMR)                                                     \
-  X(IxAdd) X(IxAdc) X(IxSub) X(IxSbc) X(IxAnd) X(IxXor) X(IxOr) X(IxCp)   \
-  X(IxLdI) X(IxStInd) X(IxLdInd) X(IxInc) X(IxDec) X(IxAddRp)             \
-  X(IxIncM) X(IxDecM) X(IxStNI)                                           \
-  X(IxPop) X(IxPush) X(IxExSp) X(IxJp) X(IxLdSp)
-
-enum UKind : u8 {
-#define X(n) kU_##n,
-  RMC_UOP_LIST(X)
-#undef X
-  kU_Count
+// Cycle costs per micro-op kind, read off the table. Every row a kind
+// executes has the same costs (checked at compile time); `alt` is the
+// taken / repeating cost of the conditional and block-move kinds.
+struct KindCost {
+  u8 cyc = 0;
+  u8 alt = 0;
 };
 
+constexpr auto kKindCost = [] {
+  std::array<KindCost, isa::kU_Count> cost{};
+  std::array<bool, isa::kU_Count> seen{};
+  for (const isa::Insn& in : isa::kTable) {
+    if (in.uop == isa::kU_Slow) continue;  // step() charges these rows
+    KindCost& k = cost[in.uop];
+    if (seen[in.uop] &&
+        (k.cyc != in.cyc || (k.alt != 0 && in.alt != 0 && k.alt != in.alt))) {
+      throw "rows sharing a micro-op kind must share its costs";
+    }
+    seen[in.uop] = true;
+    k.cyc = in.cyc;
+    if (in.alt != 0) k.alt = in.alt;
+  }
+  return cost;
+}();
+}  // namespace
+
+// The shared table decoder fills a micro-op straight from the row: kind and
+// length from its columns, a/b from the opcode's field bits, imm from the
+// operand bytes. Illegal encodings and Slow rows re-execute through step().
 void Cpu::decode_uop(u32 phys, Uop& u) const {
-  const auto rd = [&](u32 i) { return mem_.read_phys(phys + i); };
-  const u8 op = rd(0);
+  const auto rd = [&](unsigned i) { return mem_.read_phys(phys + i); };
+  const isa::Decoded d = isa::decode(rd);
   u = Uop{};
-  u.kind = kU_Slow;  // default: re-execute through the legacy step()
-
-  // DD/FD-prefixed (IX/IY) forms. The prefix flag travels in bit 7 of `a`.
-  if (op == 0xDD || op == 0xFD) {
-    const u8 iy = op == 0xFD ? 0x80 : 0x00;
-    const u8 sub = rd(1);
-    if (sub >= 0x40 && sub <= 0x7F && sub != 0x76) {
-      const u8 dst = (sub >> 3) & 7;
-      const u8 src = sub & 7;
-      if (src == 6) {
-        u.kind = kU_IxLdRM; u.a = static_cast<u8>(dst | iy);
-        u.imm = rd(2); u.len = 3; u.cyc = 9;
-      } else if (dst == 6) {
-        u.kind = kU_IxStMR; u.a = static_cast<u8>(src | iy);
-        u.imm = rd(2); u.len = 3; u.cyc = 10;
-      }
-      return;  // other register-register forms: illegal -> slow
-    }
-    if (sub >= 0x80 && sub <= 0xBF && (sub & 7) == 6) {
-      u.kind = static_cast<u8>(kU_IxAdd + ((sub >> 3) & 7));
-      u.a = iy; u.imm = rd(2); u.len = 3; u.cyc = 9;
-      return;
-    }
-    switch (sub) {
-      case 0x21: u.kind = kU_IxLdI; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 8;
-                 break;
-      case 0x22: u.kind = kU_IxStInd; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 15;
-                 break;
-      case 0x2A: u.kind = kU_IxLdInd; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
-                 break;
-      case 0x23: u.kind = kU_IxInc; u.a = iy; u.len = 2; u.cyc = 4; break;
-      case 0x2B: u.kind = kU_IxDec; u.a = iy; u.len = 2; u.cyc = 4; break;
-      case 0x09: case 0x19: case 0x29: case 0x39:
-        u.kind = kU_IxAddRp; u.a = static_cast<u8>(((sub >> 4) & 3) | iy);
-        u.len = 2; u.cyc = 4;
-        break;
-      case 0x34: u.kind = kU_IxIncM; u.a = iy; u.imm = rd(2);
-                 u.len = 3; u.cyc = 12; break;
-      case 0x35: u.kind = kU_IxDecM; u.a = iy; u.imm = rd(2);
-                 u.len = 3; u.cyc = 12; break;
-      case 0x36: u.kind = kU_IxStNI; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3));  // lo=d, hi=n
-                 u.len = 4; u.cyc = 11;
-                 break;
-      case 0xE1: u.kind = kU_IxPop; u.a = iy; u.len = 2; u.cyc = 9; break;
-      case 0xE5: u.kind = kU_IxPush; u.a = iy; u.len = 2; u.cyc = 12; break;
-      case 0xE3: u.kind = kU_IxExSp; u.a = iy; u.len = 2; u.cyc = 15; break;
-      case 0xE9: u.kind = kU_IxJp; u.a = iy; u.len = 2; u.cyc = 6; break;
-      case 0xF9: u.kind = kU_IxLdSp; u.a = iy; u.len = 2; u.cyc = 4; break;
-      default: break;  // DD CB and illegals -> slow
-    }
-    return;
-  }
-
-  if (op == 0xCB) {
-    const u8 sub = rd(1);
-    const u8 reg = sub & 7;
-    const u8 bit = (sub >> 3) & 7;
-    switch (sub >> 6) {
-      case 0:
-        if (bit == 6) return;  // SLL: illegal -> slow
-        if (reg == 6) { u.kind = kU_CbRotMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbRotR; u.a = bit; u.b = reg; u.cyc = 4; }
-        break;
-      case 1:
-        if (reg == 6) { u.kind = kU_CbBitMhl; u.a = bit; u.cyc = 7; }
-        else { u.kind = kU_CbBitR; u.a = bit; u.b = reg; u.cyc = 4; }
-        break;
-      case 2:
-        if (reg == 6) { u.kind = kU_CbResMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbResR; u.a = bit; u.b = reg; u.cyc = 4; }
-        break;
-      default:
-        if (reg == 6) { u.kind = kU_CbSetMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbSetR; u.a = bit; u.b = reg; u.cyc = 4; }
-        break;
-    }
-    u.len = 2;
-    return;
-  }
-
-  if (op == 0xED) {
-    const u8 sub = rd(1);
-    u.len = 2;
-    switch (sub) {
-      case 0x42: case 0x52: case 0x62: case 0x72:
-        u.kind = kU_SbcHlRp; u.a = (sub >> 4) & 3; u.cyc = 4; return;
-      case 0x4A: case 0x5A: case 0x6A: case 0x7A:
-        u.kind = kU_AdcHlRp; u.a = (sub >> 4) & 3; u.cyc = 4; return;
-      case 0x43: case 0x53: case 0x63: case 0x73:
-        u.kind = kU_EdStRp; u.a = (sub >> 4) & 3;
-        u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
-        return;
-      case 0x4B: case 0x5B: case 0x6B: case 0x7B:
-        u.kind = kU_EdLdRp; u.a = (sub >> 4) & 3;
-        u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
-        return;
-      case 0x44: u.kind = kU_Neg; u.cyc = 2; return;
-      case 0x67: u.kind = kU_LdXpcA; u.cyc = 4; return;
-      case 0x77: u.kind = kU_LdAXpc; u.cyc = 4; return;
-      case 0x90: u.kind = kU_Bool; u.cyc = 2; return;
-      case 0xC3:
-        u.kind = kU_Ljp; u.imm = common::make16(rd(2), rd(3)); u.a = rd(4);
-        u.len = 5; u.cyc = 10;
-        return;
-      case 0xCD:
-        u.kind = kU_Lcall; u.imm = common::make16(rd(2), rd(3)); u.a = rd(4);
-        u.len = 5; u.cyc = 19;
-        return;
-      case 0xC9: u.kind = kU_Lret; u.cyc = 13; return;
-      case 0xA0: case 0xA8: case 0xB0: case 0xB8:
-        u.kind = kU_BlockLd; u.a = sub; return;
-      default:
-        u.kind = kU_Slow; u.len = 0; return;  // RETI and illegals
-    }
-  }
-
-  // Main page. LD r,r' block (0x40-0x7F) minus HALT.
-  if (op >= 0x40 && op <= 0x7F) {
-    if (op == 0x76) return;  // HALT -> slow (exits the fast loop)
-    const u8 dst = (op >> 3) & 7;
-    const u8 src = op & 7;
-    u.len = 1;
-    if (src == 6) { u.kind = kU_LdRMhl; u.a = dst; u.cyc = 6; }
-    else if (dst == 6) { u.kind = kU_StMhlR; u.b = src; u.cyc = 6; }
-    else { u.kind = kU_LdRR; u.a = dst; u.b = src; u.cyc = 2; }
-    return;
-  }
-  // ALU A,r block (0x80-0xBF).
-  if (op >= 0x80 && op <= 0xBF) {
-    const u8 aluop = (op >> 3) & 7;
-    const u8 src = op & 7;
-    u.len = 1;
-    if (src == 6) { u.kind = static_cast<u8>(kU_AddMhl + aluop); u.cyc = 5; }
-    else { u.kind = static_cast<u8>(kU_AddR + aluop); u.b = src; u.cyc = 2; }
-    return;
-  }
-
-  switch (op) {
-    case 0x00: u.kind = kU_Nop; u.len = 1; u.cyc = 2; return;
-    case 0x01: u.kind = kU_LdBcI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
-    case 0x11: u.kind = kU_LdDeI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
-    case 0x21: u.kind = kU_LdHlI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
-    case 0x31: u.kind = kU_LdSpI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
-
-    case 0x02: u.kind = kU_StBcA; u.len = 1; u.cyc = 7; return;
-    case 0x12: u.kind = kU_StDeA; u.len = 1; u.cyc = 7; return;
-    case 0x0A: u.kind = kU_LdABc; u.len = 1; u.cyc = 6; return;
-    case 0x1A: u.kind = kU_LdADe; u.len = 1; u.cyc = 6; return;
-
-    case 0x03: u.kind = kU_IncBc; u.len = 1; u.cyc = 2; return;
-    case 0x13: u.kind = kU_IncDe; u.len = 1; u.cyc = 2; return;
-    case 0x23: u.kind = kU_IncHl; u.len = 1; u.cyc = 2; return;
-    case 0x33: u.kind = kU_IncSp; u.len = 1; u.cyc = 2; return;
-    case 0x0B: u.kind = kU_DecBc; u.len = 1; u.cyc = 2; return;
-    case 0x1B: u.kind = kU_DecDe; u.len = 1; u.cyc = 2; return;
-    case 0x2B: u.kind = kU_DecHl; u.len = 1; u.cyc = 2; return;
-    case 0x3B: u.kind = kU_DecSp; u.len = 1; u.cyc = 2; return;
-
-    case 0x04: case 0x0C: case 0x14: case 0x1C:
-    case 0x24: case 0x2C: case 0x3C:
-      u.kind = kU_IncR; u.a = (op >> 3) & 7; u.len = 1; u.cyc = 2; return;
-    case 0x34: u.kind = kU_IncMhl; u.len = 1; u.cyc = 8; return;
-    case 0x05: case 0x0D: case 0x15: case 0x1D:
-    case 0x25: case 0x2D: case 0x3D:
-      u.kind = kU_DecR; u.a = (op >> 3) & 7; u.len = 1; u.cyc = 2; return;
-    case 0x35: u.kind = kU_DecMhl; u.len = 1; u.cyc = 8; return;
-    case 0x06: case 0x0E: case 0x16: case 0x1E:
-    case 0x26: case 0x2E: case 0x3E:
-      u.kind = kU_LdRN; u.a = (op >> 3) & 7; u.imm = rd(1);
-      u.len = 2; u.cyc = 4; return;
-    case 0x36: u.kind = kU_StHlN; u.imm = rd(1); u.len = 2; u.cyc = 7; return;
-
-    case 0x07: u.kind = kU_Rlca; u.len = 1; u.cyc = 2; return;
-    case 0x0F: u.kind = kU_Rrca; u.len = 1; u.cyc = 2; return;
-    case 0x17: u.kind = kU_Rla; u.len = 1; u.cyc = 2; return;
-    case 0x1F: u.kind = kU_Rra; u.len = 1; u.cyc = 2; return;
-
-    case 0x08: u.kind = kU_ExAf; u.len = 1; u.cyc = 2; return;
-    case 0xD9: u.kind = kU_Exx; u.len = 1; u.cyc = 2; return;
-    case 0xEB: u.kind = kU_ExDeHl; u.len = 1; u.cyc = 2; return;
-    case 0xE3: u.kind = kU_ExSpHl; u.len = 1; u.cyc = 15; return;
-
-    case 0x09: u.kind = kU_AddHlBc; u.len = 1; u.cyc = 2; return;
-    case 0x19: u.kind = kU_AddHlDe; u.len = 1; u.cyc = 2; return;
-    case 0x29: u.kind = kU_AddHlHl; u.len = 1; u.cyc = 2; return;
-    case 0x39: u.kind = kU_AddHlSp; u.len = 1; u.cyc = 2; return;
-
-    case 0x10: u.kind = kU_Djnz; u.imm = rd(1); u.len = 2; return;
-    case 0x18: u.kind = kU_Jr; u.imm = rd(1); u.len = 2; u.cyc = 5; return;
-    case 0x20: case 0x28: case 0x30: case 0x38:
-      u.kind = kU_JrCc; u.a = (op >> 3) & 3; u.imm = rd(1); u.len = 2;
-      return;
-
-    case 0x22: u.kind = kU_StIndHl; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 13; return;
-    case 0x2A: u.kind = kU_LdHlInd; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 11; return;
-    case 0x32: u.kind = kU_StNnA; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 10; return;
-    case 0x3A: u.kind = kU_LdANn; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 9; return;
-
-    case 0x27: u.kind = kU_Daa; u.len = 1; u.cyc = 4; return;
-    case 0x2F: u.kind = kU_Cpl; u.len = 1; u.cyc = 2; return;
-    case 0x37: u.kind = kU_Scf; u.len = 1; u.cyc = 2; return;
-    case 0x3F: u.kind = kU_Ccf; u.len = 1; u.cyc = 2; return;
-
-    case 0xC0: case 0xC8: case 0xD0: case 0xD8:
-    case 0xE0: case 0xE8: case 0xF0: case 0xF8:
-      u.kind = kU_RetCc; u.a = (op >> 3) & 7; u.len = 1; return;
-    case 0xC9: u.kind = kU_Ret; u.len = 1; u.cyc = 8; return;
-
-    case 0xC1: u.kind = kU_PopBc; u.len = 1; u.cyc = 7; return;
-    case 0xD1: u.kind = kU_PopDe; u.len = 1; u.cyc = 7; return;
-    case 0xE1: u.kind = kU_PopHl; u.len = 1; u.cyc = 7; return;
-    case 0xF1: u.kind = kU_PopAf; u.len = 1; u.cyc = 7; return;
-    case 0xC5: u.kind = kU_PushBc; u.len = 1; u.cyc = 10; return;
-    case 0xD5: u.kind = kU_PushDe; u.len = 1; u.cyc = 10; return;
-    case 0xE5: u.kind = kU_PushHl; u.len = 1; u.cyc = 10; return;
-    case 0xF5: u.kind = kU_PushAf; u.len = 1; u.cyc = 10; return;
-
-    case 0xC3: u.kind = kU_Jp; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 7; return;
-    case 0xC2: case 0xCA: case 0xD2: case 0xDA:
-    case 0xE2: case 0xEA: case 0xF2: case 0xFA:
-      u.kind = kU_JpCc; u.a = (op >> 3) & 7;
-      u.imm = common::make16(rd(1), rd(2)); u.len = 3; u.cyc = 7;
-      return;
-    case 0xCD: u.kind = kU_Call; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 12; return;
-    case 0xC4: case 0xCC: case 0xD4: case 0xDC:
-    case 0xE4: case 0xEC: case 0xF4: case 0xFC:
-      u.kind = kU_CallCc; u.a = (op >> 3) & 7;
-      u.imm = common::make16(rd(1), rd(2)); u.len = 3;
-      return;
-
-    case 0xC6: case 0xCE: case 0xD6: case 0xDE:
-    case 0xE6: case 0xEE: case 0xF6: case 0xFE:
-      u.kind = static_cast<u8>(kU_AddN + ((op >> 3) & 7)); u.imm = rd(1);
-      u.len = 2; u.cyc = 4;
-      return;
-
-    case 0xC7: case 0xCF: case 0xD7: case 0xDF:
-    case 0xE7: case 0xEF: case 0xFF:
-      u.kind = kU_Rst; u.a = op & 0x38; u.b = op == 0xEF ? 1 : 0;
-      u.len = 1; u.cyc = 10;
-      return;
-    case 0xF7: u.kind = kU_Mul; u.len = 1; u.cyc = 12; return;
-
-    case 0xD3: u.kind = kU_Out; u.imm = rd(1); u.len = 2; u.cyc = 8; return;
-    case 0xDB: u.kind = kU_In; u.imm = rd(1); u.len = 2; u.cyc = 8; return;
-
-    case 0xE9: u.kind = kU_JpHl; u.len = 1; u.cyc = 4; return;
-    case 0xF9: u.kind = kU_LdSpHl; u.len = 1; u.cyc = 2; return;
-
-    case 0xF3: u.kind = kU_Di; u.len = 1; u.cyc = 2; return;
-
-    default:
-      // EI (0xFB) needs the one-instruction enable delay, illegals need the
-      // diagnostic path: both re-execute through the legacy step().
-      u.kind = kU_Slow; u.len = 0;
-      return;
-  }
+  u.kind = isa::kU_Slow;
+  if (d.insn == nullptr || d.insn->uop == isa::kU_Slow) return;
+  const isa::Insn& in = *d.insn;
+  u.kind = in.uop;
+  u.len = in.len;
+  u.a = static_cast<u8>(((d.op >> 3) & 7) | (d.iy ? 0x80 : 0));
+  u.b = static_cast<u8>(d.op & 7);
+  const unsigned args = in.len - d.args;  // operand bytes
+  if (args >= 1) u.imm = rd(d.args);
+  if (args >= 2) u.imm = common::make16(rd(d.args), rd(d.args + 1U));
+  if (args >= 3) u.b = rd(d.args + 2U);
 }
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -377,13 +104,20 @@ void Cpu::run_fast(u64 limit) {
   u32 ppc = 0;
   Uop u{};
 
+// Every handler opens with its kind's costs in scope as `cost` (static, so
+// dispatch may jump past the declaration). They are compile-time constants
+// read off the table, so charging them costs what a literal would.
+#define UOP_COST(n)                                     \
+  if ([[maybe_unused]] static constexpr KindCost cost = \
+          kKindCost[isa::kU_##n];                       \
+      true)
 #ifdef RMC_CGOTO
 #define X(n) &&L_##n,
   static const void* const kJump[] = {RMC_UOP_LIST(X)};
 #undef X
-#define UOP(n) L_##n:
+#define UOP(n) L_##n: UOP_COST(n)
 #else
-#define UOP(n) case kU_##n:
+#define UOP(n) case isa::kU_##n: UOP_COST(n)
 #endif
 
 // Fetch/decode/dispatch the instruction at r.pc. Instructions that could
@@ -409,7 +143,7 @@ void Cpu::run_fast(u64 limit) {
       cur_base = base__;                                                   \
     }                                                                      \
     Uop& slot__ = cur_page->ops[ppc & kPageMask];                          \
-    if (slot__.kind == kU_Invalid) {                                       \
+    if (slot__.kind == isa::kU_Invalid) {                                  \
       decode_uop(ppc, slot__);                                             \
       mem_.watch_code_page(ppc / Memory::kPageSize);                       \
     }                                                                      \
@@ -469,379 +203,284 @@ top:
     goto slow_path;
   }
 
-  UOP(Nop) { RETIRE(2); }
+  UOP(Nop) { RETIRE(cost.cyc); }
 
   // --- 8-bit loads --------------------------------------------------------
-  UOP(LdRR) { *reg8_[u.a] = *reg8_[u.b]; RETIRE(2); }
-  UOP(LdRMhl) { *reg8_[u.a] = mem_.read(r.hl()); RETIRE(6); }
-  UOP(StMhlR) { mem_.write(r.hl(), *reg8_[u.b]); RETIRE(6); }
-  UOP(LdRN) { *reg8_[u.a] = static_cast<u8>(u.imm); RETIRE(4); }
-  UOP(StHlN) { mem_.write(r.hl(), static_cast<u8>(u.imm)); RETIRE(7); }
-  UOP(LdABc) { r.a = mem_.read(r.bc()); RETIRE(6); }
-  UOP(LdADe) { r.a = mem_.read(r.de()); RETIRE(6); }
-  UOP(StBcA) { mem_.write(r.bc(), r.a); RETIRE(7); }
-  UOP(StDeA) { mem_.write(r.de(), r.a); RETIRE(7); }
-  UOP(LdANn) { r.a = mem_.read(u.imm); RETIRE(9); }
-  UOP(StNnA) { mem_.write(u.imm, r.a); RETIRE(10); }
+  UOP(LdRR) { *reg8_[u.a] = *reg8_[u.b]; RETIRE(cost.cyc); }
+  UOP(LdRMhl) { *reg8_[u.a] = mem_.read(r.hl()); RETIRE(cost.cyc); }
+  UOP(StMhlR) { mem_.write(r.hl(), *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(LdRN) { *reg8_[u.a] = static_cast<u8>(u.imm); RETIRE(cost.cyc); }
+  UOP(StHlN) { mem_.write(r.hl(), static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(LdABc) { r.a = mem_.read(r.bc()); RETIRE(cost.cyc); }
+  UOP(LdADe) { r.a = mem_.read(r.de()); RETIRE(cost.cyc); }
+  UOP(StBcA) { mem_.write(r.bc(), r.a); RETIRE(cost.cyc); }
+  UOP(StDeA) { mem_.write(r.de(), r.a); RETIRE(cost.cyc); }
+  UOP(LdANn) { r.a = mem_.read(u.imm); RETIRE(cost.cyc); }
+  UOP(StNnA) { mem_.write(u.imm, r.a); RETIRE(cost.cyc); }
 
   // --- 16-bit loads -------------------------------------------------------
-  UOP(LdBcI) { r.set_bc(u.imm); RETIRE(6); }
-  UOP(LdDeI) { r.set_de(u.imm); RETIRE(6); }
-  UOP(LdHlI) { r.set_hl(u.imm); RETIRE(6); }
-  UOP(LdSpI) { r.sp = u.imm; RETIRE(6); }
-  UOP(StIndHl) { mem_.write16(u.imm, r.hl()); RETIRE(13); }
-  UOP(LdHlInd) { r.set_hl(mem_.read16(u.imm)); RETIRE(11); }
+  UOP(LdBcI) { r.set_bc(u.imm); RETIRE(cost.cyc); }
+  UOP(LdDeI) { r.set_de(u.imm); RETIRE(cost.cyc); }
+  UOP(LdHlI) { r.set_hl(u.imm); RETIRE(cost.cyc); }
+  UOP(LdSpI) { r.sp = u.imm; RETIRE(cost.cyc); }
+  UOP(StIndHl) { mem_.write16(u.imm, r.hl()); RETIRE(cost.cyc); }
+  UOP(LdHlInd) { r.set_hl(mem_.read16(u.imm)); RETIRE(cost.cyc); }
 
   // --- 16-bit inc/dec -----------------------------------------------------
-  UOP(IncBc) { r.set_bc(static_cast<u16>(r.bc() + 1)); RETIRE(2); }
-  UOP(IncDe) { r.set_de(static_cast<u16>(r.de() + 1)); RETIRE(2); }
-  UOP(IncHl) { r.set_hl(static_cast<u16>(r.hl() + 1)); RETIRE(2); }
-  UOP(IncSp) { r.sp = static_cast<u16>(r.sp + 1); RETIRE(2); }
-  UOP(DecBc) { r.set_bc(static_cast<u16>(r.bc() - 1)); RETIRE(2); }
-  UOP(DecDe) { r.set_de(static_cast<u16>(r.de() - 1)); RETIRE(2); }
-  UOP(DecHl) { r.set_hl(static_cast<u16>(r.hl() - 1)); RETIRE(2); }
-  UOP(DecSp) { r.sp = static_cast<u16>(r.sp - 1); RETIRE(2); }
+  UOP(IncBc) { r.set_bc(static_cast<u16>(r.bc() + 1)); RETIRE(cost.cyc); }
+  UOP(IncDe) { r.set_de(static_cast<u16>(r.de() + 1)); RETIRE(cost.cyc); }
+  UOP(IncHl) { r.set_hl(static_cast<u16>(r.hl() + 1)); RETIRE(cost.cyc); }
+  UOP(IncSp) { r.sp = static_cast<u16>(r.sp + 1); RETIRE(cost.cyc); }
+  UOP(DecBc) { r.set_bc(static_cast<u16>(r.bc() - 1)); RETIRE(cost.cyc); }
+  UOP(DecDe) { r.set_de(static_cast<u16>(r.de() - 1)); RETIRE(cost.cyc); }
+  UOP(DecHl) { r.set_hl(static_cast<u16>(r.hl() - 1)); RETIRE(cost.cyc); }
+  UOP(DecSp) { r.sp = static_cast<u16>(r.sp - 1); RETIRE(cost.cyc); }
 
   // --- 8-bit inc/dec ------------------------------------------------------
-  UOP(IncR) { *reg8_[u.a] = alu_inc8(*reg8_[u.a]); RETIRE(2); }
+  UOP(IncR) { *reg8_[u.a] = alu_inc8(*reg8_[u.a]); RETIRE(cost.cyc); }
   UOP(IncMhl) {
     mem_.write(r.hl(), alu_inc8(mem_.read(r.hl())));
-    RETIRE(8);
+    RETIRE(cost.cyc);
   }
-  UOP(DecR) { *reg8_[u.a] = alu_dec8(*reg8_[u.a]); RETIRE(2); }
+  UOP(DecR) { *reg8_[u.a] = alu_dec8(*reg8_[u.a]); RETIRE(cost.cyc); }
   UOP(DecMhl) {
     mem_.write(r.hl(), alu_dec8(mem_.read(r.hl())));
-    RETIRE(8);
+    RETIRE(cost.cyc);
   }
 
   // --- accumulator rotates / misc flag ops --------------------------------
-  UOP(Rlca) {
-    const bool carry = (r.a & 0x80) != 0;
-    r.a = static_cast<u8>((r.a << 1) | (carry ? 1 : 0));
-    set_flag(Flag::C, carry);
-    set_flag(Flag::N, false);
-    set_flag(Flag::H, false);
-    RETIRE(2);
-  }
-  UOP(Rrca) {
-    const bool carry = (r.a & 1) != 0;
-    r.a = static_cast<u8>((r.a >> 1) | (carry ? 0x80 : 0));
-    set_flag(Flag::C, carry);
-    set_flag(Flag::N, false);
-    set_flag(Flag::H, false);
-    RETIRE(2);
-  }
-  UOP(Rla) {
-    const bool carry = (r.a & 0x80) != 0;
-    r.a = static_cast<u8>((r.a << 1) | (flag(Flag::C) ? 1 : 0));
-    set_flag(Flag::C, carry);
-    set_flag(Flag::N, false);
-    set_flag(Flag::H, false);
-    RETIRE(2);
-  }
-  UOP(Rra) {
-    const bool carry = (r.a & 1) != 0;
-    r.a = static_cast<u8>((r.a >> 1) | (flag(Flag::C) ? 0x80 : 0));
-    set_flag(Flag::C, carry);
-    set_flag(Flag::N, false);
-    set_flag(Flag::H, false);
-    RETIRE(2);
-  }
-  UOP(Daa) {
-    u8 correction = 0;
-    bool carry = flag(Flag::C);
-    if (flag(Flag::H) || (r.a & 0x0F) > 9) correction |= 0x06;
-    if (carry || r.a > 0x99) {
-      correction |= 0x60;
-      carry = true;
-    }
-    const u8 before = r.a;
-    r.a = flag(Flag::N) ? static_cast<u8>(r.a - correction)
-                        : static_cast<u8>(r.a + correction);
-    set_flag(Flag::S, (r.a & 0x80) != 0);
-    set_flag(Flag::Z, r.a == 0);
-    set_flag(Flag::H, ((before ^ r.a) & 0x10) != 0);
-    set_flag(Flag::PV, parity_even(r.a));
-    set_flag(Flag::C, carry);
-    RETIRE(4);
-  }
+  UOP(Rlca) { rot_a(0); RETIRE(cost.cyc); }
+  UOP(Rrca) { rot_a(1); RETIRE(cost.cyc); }
+  UOP(Rla) { rot_a(2); RETIRE(cost.cyc); }
+  UOP(Rra) { rot_a(3); RETIRE(cost.cyc); }
+  UOP(Daa) { daa(); RETIRE(cost.cyc); }
   UOP(Cpl) {
     r.a = static_cast<u8>(~r.a);
     set_flag(Flag::H, true);
     set_flag(Flag::N, true);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
   UOP(Scf) {
     set_flag(Flag::C, true);
     set_flag(Flag::H, false);
     set_flag(Flag::N, false);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
   UOP(Ccf) {
     set_flag(Flag::H, flag(Flag::C));
     set_flag(Flag::C, !flag(Flag::C));
     set_flag(Flag::N, false);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
 
   // --- exchanges ----------------------------------------------------------
   UOP(ExAf) {
     std::swap(r.a, r.a2);
     std::swap(r.f, r.f2);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
-  UOP(Exx) {
-    std::swap(r.b, r.b2); std::swap(r.c, r.c2);
-    std::swap(r.d, r.d2); std::swap(r.e, r.e2);
-    std::swap(r.h, r.h2); std::swap(r.l, r.l2);
-    RETIRE(2);
-  }
+  UOP(Exx) { exx(); RETIRE(cost.cyc); }
   UOP(ExDeHl) {
     const u16 tmp = r.de();
     r.set_de(r.hl());
     r.set_hl(tmp);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
-  UOP(ExSpHl) {
-    const u16 tmp = mem_.read16(r.sp);
-    mem_.write16(r.sp, r.hl());
-    r.set_hl(tmp);
-    RETIRE(15);
-  }
+  UOP(ExSpHl) { r.set_hl(ex_sp(r.hl())); RETIRE(cost.cyc); }
 
   // --- 16-bit adds --------------------------------------------------------
-  UOP(AddHlBc) { r.set_hl(alu_add16(r.hl(), r.bc())); RETIRE(2); }
-  UOP(AddHlDe) { r.set_hl(alu_add16(r.hl(), r.de())); RETIRE(2); }
-  UOP(AddHlHl) { r.set_hl(alu_add16(r.hl(), r.hl())); RETIRE(2); }
-  UOP(AddHlSp) { r.set_hl(alu_add16(r.hl(), r.sp)); RETIRE(2); }
+  UOP(AddHlBc) { r.set_hl(alu_add16(r.hl(), r.bc())); RETIRE(cost.cyc); }
+  UOP(AddHlDe) { r.set_hl(alu_add16(r.hl(), r.de())); RETIRE(cost.cyc); }
+  UOP(AddHlHl) { r.set_hl(alu_add16(r.hl(), r.hl())); RETIRE(cost.cyc); }
+  UOP(AddHlSp) { r.set_hl(alu_add16(r.hl(), r.sp)); RETIRE(cost.cyc); }
 
   // --- relative control flow ----------------------------------------------
   UOP(Djnz) {
     r.b = static_cast<u8>(r.b - 1);
     if (r.b != 0) {
       r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-      RETIRE(10);
+      RETIRE(cost.alt);
     }
-    RETIRE(5);
+    RETIRE(cost.cyc);
   }
   UOP(Jr) {
     r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-    RETIRE(5);
+    RETIRE(cost.cyc);
   }
   UOP(JrCc) {
-    if (cond(u.a)) {
+    if (cond(u.a & 3)) {
       r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-      RETIRE(5);
+      RETIRE(cost.alt);
     }
-    RETIRE(3);
+    RETIRE(cost.cyc);
   }
 
   // --- ALU A,r / A,(HL) / A,n ---------------------------------------------
-  UOP(AddR) { alu8(0, *reg8_[u.b]); RETIRE(2); }
-  UOP(AdcR) { alu8(1, *reg8_[u.b]); RETIRE(2); }
-  UOP(SubR) { alu8(2, *reg8_[u.b]); RETIRE(2); }
-  UOP(SbcR) { alu8(3, *reg8_[u.b]); RETIRE(2); }
-  UOP(AndR) { alu8(4, *reg8_[u.b]); RETIRE(2); }
-  UOP(XorR) { alu8(5, *reg8_[u.b]); RETIRE(2); }
-  UOP(OrR) { alu8(6, *reg8_[u.b]); RETIRE(2); }
-  UOP(CpR) { alu8(7, *reg8_[u.b]); RETIRE(2); }
-  UOP(AddMhl) { alu8(0, mem_.read(r.hl())); RETIRE(5); }
-  UOP(AdcMhl) { alu8(1, mem_.read(r.hl())); RETIRE(5); }
-  UOP(SubMhl) { alu8(2, mem_.read(r.hl())); RETIRE(5); }
-  UOP(SbcMhl) { alu8(3, mem_.read(r.hl())); RETIRE(5); }
-  UOP(AndMhl) { alu8(4, mem_.read(r.hl())); RETIRE(5); }
-  UOP(XorMhl) { alu8(5, mem_.read(r.hl())); RETIRE(5); }
-  UOP(OrMhl) { alu8(6, mem_.read(r.hl())); RETIRE(5); }
-  UOP(CpMhl) { alu8(7, mem_.read(r.hl())); RETIRE(5); }
-  UOP(AddN) { alu8(0, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(AdcN) { alu8(1, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(SubN) { alu8(2, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(SbcN) { alu8(3, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(AndN) { alu8(4, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(XorN) { alu8(5, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(OrN) { alu8(6, static_cast<u8>(u.imm)); RETIRE(4); }
-  UOP(CpN) { alu8(7, static_cast<u8>(u.imm)); RETIRE(4); }
+  UOP(AddR) { alu8(0, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(AdcR) { alu8(1, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(SubR) { alu8(2, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(SbcR) { alu8(3, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(AndR) { alu8(4, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(XorR) { alu8(5, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(OrR) { alu8(6, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(CpR) { alu8(7, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(AddMhl) { alu8(0, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(AdcMhl) { alu8(1, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(SubMhl) { alu8(2, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(SbcMhl) { alu8(3, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(AndMhl) { alu8(4, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(XorMhl) { alu8(5, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(OrMhl) { alu8(6, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(CpMhl) { alu8(7, mem_.read(r.hl())); RETIRE(cost.cyc); }
+  UOP(AddN) { alu8(0, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(AdcN) { alu8(1, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(SubN) { alu8(2, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(SbcN) { alu8(3, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(AndN) { alu8(4, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(XorN) { alu8(5, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(OrN) { alu8(6, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
+  UOP(CpN) { alu8(7, static_cast<u8>(u.imm)); RETIRE(cost.cyc); }
 
   // --- absolute control flow / stack --------------------------------------
   UOP(RetCc) {
     if (cond(u.a)) {
       r.pc = pop16();
-      RETIRE(8);
+      RETIRE(cost.alt);
     }
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
-  UOP(Ret) { r.pc = pop16(); RETIRE(8); }
-  UOP(PopBc) { r.set_bc(pop16()); RETIRE(7); }
-  UOP(PopDe) { r.set_de(pop16()); RETIRE(7); }
-  UOP(PopHl) { r.set_hl(pop16()); RETIRE(7); }
-  UOP(PopAf) { r.set_af(pop16()); RETIRE(7); }
-  UOP(PushBc) { push16(r.bc()); RETIRE(10); }
-  UOP(PushDe) { push16(r.de()); RETIRE(10); }
-  UOP(PushHl) { push16(r.hl()); RETIRE(10); }
-  UOP(PushAf) { push16(r.af()); RETIRE(10); }
-  UOP(Jp) { r.pc = u.imm; RETIRE(7); }
+  UOP(Ret) { r.pc = pop16(); RETIRE(cost.cyc); }
+  UOP(PopBc) { r.set_bc(pop16()); RETIRE(cost.cyc); }
+  UOP(PopDe) { r.set_de(pop16()); RETIRE(cost.cyc); }
+  UOP(PopHl) { r.set_hl(pop16()); RETIRE(cost.cyc); }
+  UOP(PopAf) { r.set_af(pop16()); RETIRE(cost.cyc); }
+  UOP(PushBc) { push16(r.bc()); RETIRE(cost.cyc); }
+  UOP(PushDe) { push16(r.de()); RETIRE(cost.cyc); }
+  UOP(PushHl) { push16(r.hl()); RETIRE(cost.cyc); }
+  UOP(PushAf) { push16(r.af()); RETIRE(cost.cyc); }
+  UOP(Jp) { r.pc = u.imm; RETIRE(cost.cyc); }
   UOP(JpCc) {
-    if (cond(u.a)) r.pc = u.imm;
-    RETIRE(7);
+    if (cond(u.a)) {
+      r.pc = u.imm;
+      RETIRE(cost.alt);
+    }
+    RETIRE(cost.cyc);
   }
-  UOP(JpHl) { r.pc = r.hl(); RETIRE(4); }
+  UOP(JpHl) { r.pc = r.hl(); RETIRE(cost.cyc); }
   UOP(Call) {
     push16(r.pc);
     r.pc = u.imm;
-    RETIRE(12);
+    RETIRE(cost.cyc);
   }
   UOP(CallCc) {
     if (cond(u.a)) {
       push16(r.pc);
       r.pc = u.imm;
-      RETIRE(12);
+      RETIRE(cost.alt);
     }
-    RETIRE(6);
+    RETIRE(cost.cyc);
   }
   UOP(Rst) {
-    if (u.b != 0) ++debug_traps_;
+    const u16 vector = static_cast<u16>(u.a << 3);
+    if (vector == 0x28) ++debug_traps_;  // the Dynamic C debug hook
     push16(r.pc);
-    r.pc = u.a;
-    RETIRE(10);
+    r.pc = vector;
+    RETIRE(cost.cyc);
   }
-  UOP(Mul) {
-    const auto prod =
-        static_cast<common::i32>(static_cast<common::i16>(r.bc())) *
-        static_cast<common::i16>(r.de());
-    const auto up = static_cast<u32>(prod);
-    r.set_bc(static_cast<u16>(up & 0xFFFF));
-    r.set_hl(static_cast<u16>(up >> 16));
-    RETIRE(12);
-  }
+  UOP(Mul) { mul(); RETIRE(cost.cyc); }
 
   // --- I/O: flush deferred ticks first so devices see the same timeline
   // the per-step path would give them -------------------------------------
   UOP(Out) {
     FLUSH_TICKS();
     io_.write(u.imm, r.a);
-    RETIRE(8);
+    RETIRE(cost.cyc);
   }
   UOP(In) {
     FLUSH_TICKS();
     r.a = io_.read(u.imm);
-    RETIRE(8);
+    RETIRE(cost.cyc);
   }
-  UOP(LdSpHl) { r.sp = r.hl(); RETIRE(2); }
+  UOP(LdSpHl) { r.sp = r.hl(); RETIRE(cost.cyc); }
   UOP(Di) {
     iff_ = false;
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
 
   // --- CB prefix ----------------------------------------------------------
   UOP(CbRotR) {
     *reg8_[u.b] = rot_op(u.a, *reg8_[u.b]);
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(CbRotMhl) {
     mem_.write(r.hl(), rot_op(u.a, mem_.read(r.hl())));
-    RETIRE(10);
+    RETIRE(cost.cyc);
   }
-  UOP(CbBitR) {
-    set_flag(Flag::Z, (*reg8_[u.b] & (1U << u.a)) == 0);
-    set_flag(Flag::H, true);
-    set_flag(Flag::N, false);
-    RETIRE(4);
-  }
-  UOP(CbBitMhl) {
-    set_flag(Flag::Z, (mem_.read(r.hl()) & (1U << u.a)) == 0);
-    set_flag(Flag::H, true);
-    set_flag(Flag::N, false);
-    RETIRE(7);
-  }
+  UOP(CbBitR) { test_bit(u.a, *reg8_[u.b]); RETIRE(cost.cyc); }
+  UOP(CbBitMhl) { test_bit(u.a, mem_.read(r.hl())); RETIRE(cost.cyc); }
   UOP(CbResR) {
     *reg8_[u.b] = static_cast<u8>(*reg8_[u.b] & ~(1U << u.a));
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(CbResMhl) {
     mem_.write(r.hl(), static_cast<u8>(mem_.read(r.hl()) & ~(1U << u.a)));
-    RETIRE(10);
+    RETIRE(cost.cyc);
   }
   UOP(CbSetR) {
     *reg8_[u.b] = static_cast<u8>(*reg8_[u.b] | (1U << u.a));
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(CbSetMhl) {
     mem_.write(r.hl(), static_cast<u8>(mem_.read(r.hl()) | (1U << u.a)));
-    RETIRE(10);
+    RETIRE(cost.cyc);
   }
 
   // --- ED prefix ----------------------------------------------------------
   UOP(SbcHlRp) {
-    r.set_hl(alu_sbc16(r.hl(), rp_get(u.a), flag(Flag::C)));
-    RETIRE(4);
+    r.set_hl(alu_sbc16(r.hl(), rp_get(u.a >> 1), flag(Flag::C)));
+    RETIRE(cost.cyc);
   }
   UOP(AdcHlRp) {
-    r.set_hl(alu_adc16(r.hl(), rp_get(u.a), flag(Flag::C)));
-    RETIRE(4);
+    r.set_hl(alu_adc16(r.hl(), rp_get(u.a >> 1), flag(Flag::C)));
+    RETIRE(cost.cyc);
   }
   UOP(EdStRp) {
-    mem_.write16(u.imm, rp_get(u.a));
-    RETIRE(13);
+    mem_.write16(u.imm, rp_get(u.a >> 1));
+    RETIRE(cost.cyc);
   }
   UOP(EdLdRp) {
-    rp_set(u.a, mem_.read16(u.imm));
-    RETIRE(13);
+    rp_set(u.a >> 1, mem_.read16(u.imm));
+    RETIRE(cost.cyc);
   }
   UOP(Neg) {
     const u8 a0 = r.a;
     r.a = alu_sub8(0, a0, false);
-    RETIRE(2);
+    RETIRE(cost.cyc);
   }
   UOP(LdXpcA) {
     mem_.set_xpc(r.a);
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(LdAXpc) {
     r.a = mem_.xpc();
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
-  UOP(Bool) {
-    const u16 v = r.hl();
-    r.set_hl(v != 0 ? 1 : 0);
-    set_flag(Flag::Z, v == 0);
-    set_flag(Flag::C, false);
-    set_flag(Flag::S, false);
-    RETIRE(2);
-  }
+  UOP(Bool) { bool_hl(); RETIRE(cost.cyc); }
   UOP(Ljp) {
     r.pc = u.imm;
-    mem_.set_xpc(u.a);
-    RETIRE(10);
+    mem_.set_xpc(u.b);
+    RETIRE(cost.cyc);
   }
-  UOP(Lcall) {
-    push16(r.pc);
-    push16(mem_.xpc());
-    r.pc = u.imm;
-    mem_.set_xpc(u.a);
-    RETIRE(19);
-  }
-  UOP(Lret) {
-    mem_.set_xpc(static_cast<u8>(pop16()));
-    r.pc = pop16();
-    RETIRE(13);
-  }
+  UOP(Lcall) { lcall(u.imm, u.b); RETIRE(cost.cyc); }
+  UOP(Lret) { lret(); RETIRE(cost.cyc); }
   UOP(BlockLd) {
     // One LDI/LDD/LDIR/LDDR iteration; a repeating form re-executes this
     // same micro-op (pc stays put), matching the legacy pc -= 2 loop.
-    const int dir = (u.a & 0x08) ? -1 : 1;
-    const bool repeat = (u.a & 0x10) != 0;
-    mem_.write(r.de(), mem_.read(r.hl()));
-    r.set_hl(static_cast<u16>(r.hl() + dir));
-    r.set_de(static_cast<u16>(r.de() + dir));
-    r.set_bc(static_cast<u16>(r.bc() - 1));
-    set_flag(Flag::H, false);
-    set_flag(Flag::N, false);
-    set_flag(Flag::PV, r.bc() != 0);
-    if (repeat && r.bc() != 0) {
+    if (block_ld(u.a)) {
       r.pc = pc0;
-      RETIRE(7);
+      RETIRE(cost.alt);
     }
-    RETIRE(10);
+    RETIRE(cost.cyc);
   }
 
   // --- DD/FD (IX/IY) prefix -----------------------------------------------
@@ -849,126 +488,123 @@ top:
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     *reg8_[u.a & 7] =
         mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm)));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxStMR) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
-    mem_.write(static_cast<u16>(xy + static_cast<i8>(u.imm)),
-               *reg8_[u.a & 7]);
-    RETIRE(10);
+    mem_.write(static_cast<u16>(xy + static_cast<i8>(u.imm)), *reg8_[u.b]);
+    RETIRE(cost.cyc);
   }
   UOP(IxAdd) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(0, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxAdc) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(1, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxSub) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(2, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxSbc) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(3, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxAnd) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(4, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxXor) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(5, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxOr) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(6, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxCp) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     alu8(7, mem_.read(static_cast<u16>(xy + static_cast<i8>(u.imm))));
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxLdI) {
     ((u.a & 0x80) ? r.iy : r.ix) = u.imm;
-    RETIRE(8);
+    RETIRE(cost.cyc);
   }
   UOP(IxStInd) {
     mem_.write16(u.imm, (u.a & 0x80) ? r.iy : r.ix);
-    RETIRE(15);
+    RETIRE(cost.cyc);
   }
   UOP(IxLdInd) {
     ((u.a & 0x80) ? r.iy : r.ix) = mem_.read16(u.imm);
-    RETIRE(13);
+    RETIRE(cost.cyc);
   }
   UOP(IxInc) {
     u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     xy = static_cast<u16>(xy + 1);
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(IxDec) {
     u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     xy = static_cast<u16>(xy - 1);
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(IxAddRp) {
     u16& xy = (u.a & 0x80) ? r.iy : r.ix;
-    const unsigned rp = u.a & 3;
+    const unsigned rp = (u.a >> 1) & 3;
     const u16 operand = rp == 2 ? xy
                       : rp == 0 ? r.bc()
                       : rp == 1 ? r.de()
                                 : r.sp;
     xy = alu_add16(xy, operand);
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
   UOP(IxIncM) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     const u16 addr = static_cast<u16>(xy + static_cast<i8>(u.imm));
     mem_.write(addr, alu_inc8(mem_.read(addr)));
-    RETIRE(12);
+    RETIRE(cost.cyc);
   }
   UOP(IxDecM) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     const u16 addr = static_cast<u16>(xy + static_cast<i8>(u.imm));
     mem_.write(addr, alu_dec8(mem_.read(addr)));
-    RETIRE(12);
+    RETIRE(cost.cyc);
   }
   UOP(IxStNI) {
     const u16& xy = (u.a & 0x80) ? r.iy : r.ix;
     mem_.write(static_cast<u16>(xy + static_cast<i8>(u.imm & 0xFF)),
                static_cast<u8>(u.imm >> 8));
-    RETIRE(11);
+    RETIRE(cost.cyc);
   }
   UOP(IxPop) {
     ((u.a & 0x80) ? r.iy : r.ix) = pop16();
-    RETIRE(9);
+    RETIRE(cost.cyc);
   }
   UOP(IxPush) {
     push16((u.a & 0x80) ? r.iy : r.ix);
-    RETIRE(12);
+    RETIRE(cost.cyc);
   }
   UOP(IxExSp) {
     u16& xy = (u.a & 0x80) ? r.iy : r.ix;
-    const u16 tmp = mem_.read16(r.sp);
-    mem_.write16(r.sp, xy);
-    xy = tmp;
-    RETIRE(15);
+    xy = ex_sp(xy);
+    RETIRE(cost.cyc);
   }
   UOP(IxJp) {
     r.pc = (u.a & 0x80) ? r.iy : r.ix;
-    RETIRE(6);
+    RETIRE(cost.cyc);
   }
   UOP(IxLdSp) {
     r.sp = (u.a & 0x80) ? r.iy : r.ix;
-    RETIRE(4);
+    RETIRE(cost.cyc);
   }
 
 #ifndef RMC_CGOTO
@@ -997,6 +633,7 @@ out:
 #undef RETIRE
 #undef FLUSH_TICKS
 #undef UOP
+#undef UOP_COST
 #undef DISPATCH_NEXT
 #undef FETCH_DISPATCH_BODY
 }

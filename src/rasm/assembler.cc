@@ -6,6 +6,8 @@
 #include <map>
 #include <optional>
 
+#include "rabbit/isa.h"
+
 namespace rmc::rasm {
 
 using common::ErrorCode;
@@ -16,6 +18,7 @@ using common::Status;
 using common::u16;
 using common::u32;
 using common::u8;
+namespace isa = rabbit::isa;
 
 namespace {
 
@@ -486,66 +489,109 @@ class ExprParser {
 // Operands
 // ---------------------------------------------------------------------------
 
-enum class OpKind {
-  kNone,
-  kReg8,    // reg = B0 C1 D2 E3 H4 L5 A7
-  kReg16,   // reg = BC0 DE1 HL2 SP3 IX4 IY5 AF6
-  kAfAlt,   // af'
-  kXpc,     // the XPC register
-  kMemHl,   // (hl)
-  kMemBc,   // (bc)
-  kMemDe,   // (de)
-  kMemSp,   // (sp)
-  kMemNn,   // (expr)
-  kMemIdx,  // (ix+d) / (iy+d); reg = 4 (ix) or 5 (iy)
-  kImm,     // expr
-  kString,  // "..." (db only)
+/// One source operand, classified without evaluating it: an expression is
+/// only evaluated once a table row has accepted the operand's shape.
+struct Operand {
+  std::string text;    // as written, trimmed
+  std::string key;     // lower case with blanks removed, for name matching
+  bool paren = false;  // "(...)"
+
+  std::string_view inner() const {
+    return trim(std::string_view(text).substr(1, text.size() - 2));
+  }
 };
 
-struct Op {
-  OpKind kind = OpKind::kNone;
-  int reg = -1;
-  i64 value = 0;
-  bool resolved = true;
-  i64 disp = 0;          // for kMemIdx
-  std::string text;      // original (for strings / errors)
+Operand classify(std::string_view text) {
+  Operand o;
+  o.text = std::string(trim(text));
+  for (char c : o.text) {
+    const auto uc = static_cast<unsigned char>(c);
+    if (!std::isspace(uc)) o.key.push_back(static_cast<char>(std::tolower(uc)));
+  }
+  o.paren =
+      o.text.size() >= 2 && o.text.front() == '(' && o.text.back() == ')';
+  return o;
+}
+
+bool is_register(std::string_view key) {
+  static constexpr std::string_view kRegs[] = {
+      "a",  "b",  "c",  "d",  "e",  "h",  "l",   "af",
+      "bc", "de", "hl", "sp", "ix", "iy", "af'", "xpc"};
+  return std::find(std::begin(kRegs), std::end(kRegs), key) != std::end(kRegs);
+}
+
+/// "ix"/"iy" when the operand is (ix), (ix+d) or (ix-d) (or the iy forms).
+std::string_view index_of(const Operand& o) {
+  const std::string_view k = o.key;
+  if (!o.paren || k.size() < 4 || k[1] != 'i' || (k[2] != 'x' && k[2] != 'y') ||
+      (k[3] != ')' && k[3] != '+' && k[3] != '-')) {
+    return {};
+  }
+  return k.substr(1, 2);
+}
+
+/// A bare expression: neither a register nor a parenthesized operand.
+bool is_expr(const Operand& o) { return !o.paren && !is_register(o.key); }
+
+/// A parenthesized expression: an absolute address or a port.
+bool is_memory(const Operand& o) {
+  return o.paren && index_of(o).empty() &&
+         !is_register(std::string_view(o.key).substr(1, o.key.size() - 2));
+}
+
+/// The 8-bit ALU group's accumulator operand is optional: `add a, b` and
+/// `add b` are one instruction. Source lines and table templates both drop
+/// it before they are compared.
+bool drops_accumulator(std::string_view mnemonic, std::size_t count,
+                       std::string_view first) {
+  static constexpr std::string_view kAlu[] = {"add", "adc", "sub", "sbc",
+                                              "and", "xor", "or",  "cp"};
+  return count == 2 && first == "a" &&
+         std::find(std::begin(kAlu), std::end(kAlu), mnemonic) !=
+             std::end(kAlu);
+}
+
+/// One operand template, parsed once.
+struct Pattern {
+  isa::Arg kind = isa::Arg::kLit;
+  const isa::Field* field = nullptr;  // kField
+  std::string_view text;              // kLit
 };
 
-int reg8_code(std::string_view name) {
-  const std::string n = lower(name);
-  if (n == "b") return 0;
-  if (n == "c") return 1;
-  if (n == "d") return 2;
-  if (n == "e") return 3;
-  if (n == "h") return 4;
-  if (n == "l") return 5;
-  if (n == "a") return 7;
-  return -1;
+/// A table row as the matcher sees it, accumulator operand dropped.
+struct Candidate {
+  const isa::Insn* insn;
+  unsigned count;
+  std::array<Pattern, 3> ops;
+};
+
+/// Table rows by mnemonic, in table order.
+const std::vector<Candidate>* candidates(std::string_view mnemonic) {
+  static const auto kByMnemonic = [] {
+    std::map<std::string_view, std::vector<Candidate>, std::less<>> m;
+    for (const isa::Insn& in : isa::kTable) {
+      isa::Form f = isa::split(in.text);
+      if (drops_accumulator(f.mnemonic, f.count, f.ops[0])) {
+        f.ops[0] = f.ops[1];
+        f.count = 1;
+      }
+      Candidate c{&in, f.count, {}};
+      for (unsigned i = 0; i < f.count; ++i) {
+        c.ops[i] = {isa::arg_kind(f.ops[i]), isa::field(f.ops[i]), f.ops[i]};
+      }
+      m[f.mnemonic].push_back(c);
+    }
+    return m;
+  }();
+  const auto it = kByMnemonic.find(mnemonic);
+  return it == kByMnemonic.end() ? nullptr : &it->second;
 }
 
-int reg16_code(std::string_view name) {
-  const std::string n = lower(name);
-  if (n == "bc") return 0;
-  if (n == "de") return 1;
-  if (n == "hl") return 2;
-  if (n == "sp") return 3;
-  if (n == "ix") return 4;
-  if (n == "iy") return 5;
-  if (n == "af") return 6;
-  return -1;
-}
-
-int cond_code(std::string_view name) {
-  const std::string n = lower(name);
-  if (n == "nz") return 0;
-  if (n == "z") return 1;
-  if (n == "nc") return 2;
-  if (n == "c") return 3;
-  if (n == "po" || n == "lz") return 4;
-  if (n == "pe" || n == "lo") return 5;
-  if (n == "p") return 6;
-  if (n == "m") return 7;
-  return -1;
+/// A named field code matches the operand; "lz"/"lo" are the Rabbit
+/// spellings of the po/pe conditions.
+bool names_match(std::string_view name, std::string_view key) {
+  return key == name || (name == "po" && key == "lz") ||
+         (name == "pe" && key == "lo");
 }
 
 }  // namespace
@@ -634,7 +680,6 @@ class Assembler {
 
  private:
   Status do_line(const Line& line) {
-    line_ = &line;
     emitted_.clear();
     const i64 line_addr = addr_;
 
@@ -712,79 +757,9 @@ class Assembler {
     return v;
   }
 
-  Result<Op> parse_operand(const std::string& text) {
-    Op op;
-    op.text = text;
-    if (text.empty()) {
-      return Status(ErrorCode::kInvalidArgument, "empty operand");
-    }
-    if (text.front() == '"') {
-      if (text.size() < 2 || text.back() != '"') {
-        return Status(ErrorCode::kInvalidArgument, "unterminated string");
-      }
-      op.kind = OpKind::kString;
-      return op;
-    }
-    const std::string low = lower(text);
-    if (low == "af'") {
-      op.kind = OpKind::kAfAlt;
-      return op;
-    }
-    if (low == "xpc") {
-      op.kind = OpKind::kXpc;
-      return op;
-    }
-    if (int r = reg8_code(low); r >= 0) {
-      op.kind = OpKind::kReg8;
-      op.reg = r;
-      return op;
-    }
-    if (int r = reg16_code(low); r >= 0) {
-      op.kind = OpKind::kReg16;
-      op.reg = r;
-      return op;
-    }
-    if (text.front() == '(' && text.back() == ')') {
-      const std::string inner =
-          std::string(trim(std::string_view(text).substr(1, text.size() - 2)));
-      const std::string ilow = lower(inner);
-      if (ilow == "hl") { op.kind = OpKind::kMemHl; return op; }
-      if (ilow == "bc") { op.kind = OpKind::kMemBc; return op; }
-      if (ilow == "de") { op.kind = OpKind::kMemDe; return op; }
-      if (ilow == "sp") { op.kind = OpKind::kMemSp; return op; }
-      if (ilow.rfind("ix", 0) == 0 || ilow.rfind("iy", 0) == 0) {
-        op.kind = OpKind::kMemIdx;
-        op.reg = (ilow[1] == 'x') ? 4 : 5;
-        std::string_view rest = trim(std::string_view(inner).substr(2));
-        if (rest.empty()) {
-          op.disp = 0;
-        } else {
-          auto v = eval(rest);  // rest begins with +/-, handled as unary
-          if (!v.ok()) return v.status();
-          op.disp = v->value;
-          op.resolved = v->resolved;
-        }
-        return op;
-      }
-      auto v = eval(inner);
-      if (!v.ok()) return v.status();
-      op.kind = OpKind::kMemNn;
-      op.value = v->value;
-      op.resolved = v->resolved;
-      return op;
-    }
-    auto v = eval(text);
-    if (!v.ok()) return v.status();
-    op.kind = OpKind::kImm;
-    op.value = v->value;
-    op.resolved = v->resolved;
-    return op;
-  }
-
   // ----- emission ----------------------------------------------------------
 
   void emit(u8 b) { emitted_.push_back(b); }
-  void emit2(u8 a, u8 b) { emit(a); emit(b); }
   void emit16(i64 v) {
     emit(static_cast<u8>(v & 0xFF));
     emit(static_cast<u8>((v >> 8) & 0xFF));
@@ -804,6 +779,170 @@ class Assembler {
                         " operand(s), got " +
                         std::to_string(line.operands.size()));
     }
+    return Status::ok();
+  }
+
+  // ----- instructions: source operands matched against isa.h rows ----------
+
+  /// What a row's operand templates bound while matching.
+  struct Binding {
+    unsigned opcode = 0;  // row opcode with the named field codes or'ed in
+    std::string_view xy;  // "ix"/"iy" once an operand names one
+    bool bind_xy(std::string_view name) {
+      if (xy.empty()) xy = name;
+      return xy == name;
+    }
+  };
+
+  static bool match_operand(const Pattern& p, const Operand& o, Binding& b) {
+    switch (p.kind) {
+      case isa::Arg::kLit: return o.key == p.text;
+      case isa::Arg::kField: {
+        const isa::Field& f = *p.field;
+        if (f.step != 0) return is_expr(o);  // numeric: read on emission
+        for (unsigned code = 0; code <= f.mask; ++code) {
+          if (((f.legal >> code) & 1) == 0) continue;
+          const std::string_view name = f.names[code];
+          const bool hit = name == "xy"
+                               ? (o.key == "ix" || o.key == "iy") &&
+                                     b.bind_xy(o.key)
+                               : names_match(name, o.key);
+          if (hit) {
+            b.opcode |= code << f.shift;
+            return true;
+          }
+        }
+        return false;
+      }
+      case isa::Arg::kN:
+      case isa::Arg::kNN:
+      case isa::Arg::kMM:
+      case isa::Arg::kE: return is_expr(o);
+      case isa::Arg::kPort:
+      case isa::Arg::kAddr: return is_memory(o);
+      case isa::Arg::kIdx: {
+        const std::string_view xy = index_of(o);
+        return !xy.empty() && b.bind_xy(xy);
+      }
+      case isa::Arg::kXYInd:
+        return (o.key == "(ix)" || o.key == "(iy)") &&
+               b.bind_xy(std::string_view(o.key).substr(1, 2));
+      case isa::Arg::kXY:
+        return (o.key == "ix" || o.key == "iy") && b.bind_xy(o.key);
+    }
+    return false;
+  }
+
+  Status instruction(const Line& line) {
+    const std::vector<Candidate>* rows = candidates(line.mnemonic);
+    if (rows == nullptr) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "unknown mnemonic: " + line.mnemonic);
+    }
+    std::vector<Operand> ops;
+    if ((line.mnemonic == "lcall" || line.mnemonic == "ljp") &&
+        line.operands.size() == 1) {
+      // A physical label supplies both the window address and the bank.
+      const std::string& target = line.operands[0];
+      ops.push_back(classify("winof(" + target + ")"));
+      ops.push_back(classify("xpcof(" + target + ")"));
+    } else {
+      for (const std::string& text : line.operands) {
+        ops.push_back(classify(text));
+      }
+    }
+    if (drops_accumulator(line.mnemonic, ops.size(),
+                          ops.empty() ? "" : ops[0].key)) {
+      ops.erase(ops.begin());
+    }
+    for (const Candidate& c : *rows) {
+      if (c.count != ops.size()) continue;
+      Binding b{c.insn->opcode, {}};
+      bool ok = true;
+      for (unsigned i = 0; ok && i < c.count; ++i) {
+        ok = match_operand(c.ops[i], ops[i], b);
+      }
+      if (ok) return encode(c, ops, b);
+    }
+    std::string text = line.mnemonic;
+    for (std::size_t i = 0; i < line.operands.size(); ++i) {
+      text += (i == 0 ? " " : ", ") + line.operands[i];
+    }
+    return Status(ErrorCode::kInvalidArgument, "unsupported operands: " + text);
+  }
+
+  /// Emit a matched row: prefixes, opcode and operand bytes.
+  Status encode(const Candidate& c, const std::vector<Operand>& ops,
+                Binding b) {
+    const isa::Insn& in = *c.insn;
+    u8 args[3] = {};
+    unsigned n = 0;
+    for (unsigned i = 0; i < c.count; ++i) {
+      const Operand& o = ops[i];
+      const isa::Arg kind = c.ops[i].kind;
+      if (kind == isa::Arg::kLit || kind == isa::Arg::kXY ||
+          kind == isa::Arg::kXYInd ||
+          (kind == isa::Arg::kField && c.ops[i].field->step == 0)) {
+        continue;  // no operand byte, nothing to evaluate
+      }
+      std::string_view text = o.text;
+      if (kind == isa::Arg::kPort || kind == isa::Arg::kAddr) text = o.inner();
+      if (kind == isa::Arg::kIdx) text = trim(o.inner().substr(2));
+      i64 v = 0;
+      if (!text.empty()) {
+        auto r = eval(text);
+        if (!r.ok()) return r.status();
+        v = r->value;
+      }
+      switch (kind) {
+        case isa::Arg::kField: {
+          const isa::Field& f = *c.ops[i].field;
+          const i64 code = v / f.step;
+          if (v % f.step != 0 || code < 0 || code > f.mask ||
+              ((f.legal >> code) & 1) == 0) {
+            return Status(ErrorCode::kOutOfRange,
+                          "operand out of range: " + o.text);
+          }
+          b.opcode |= static_cast<unsigned>(code) << f.shift;
+          break;
+        }
+        case isa::Arg::kMM: v = to_logical(v); [[fallthrough]];
+        case isa::Arg::kNN:
+        case isa::Arg::kAddr:
+          args[n++] = static_cast<u8>(v & 0xFF);
+          args[n++] = static_cast<u8>((v >> 8) & 0xFF);
+          break;
+        case isa::Arg::kE: {
+          const i64 disp = to_logical(v) - (addr_ + in.len);
+          if (pass_ == 2 && (disp < -128 || disp > 127)) {
+            return Status(ErrorCode::kOutOfRange,
+                          "relative target out of range (" +
+                              std::to_string(disp) + ")");
+          }
+          args[n++] = static_cast<u8>(disp & 0xFF);
+          break;
+        }
+        default:  // n, (n), (xy+d)
+          args[n++] = static_cast<u8>(v & 0xFF);
+          break;
+      }
+    }
+    const u8 xy = b.xy == "iy" ? isa::kPrefixIY : isa::kPrefixIX;
+    const u8 op = static_cast<u8>(b.opcode);
+    switch (in.page) {
+      case isa::Main: emit(op); break;
+      case isa::CB: emit(isa::kPrefixCB); emit(op); break;
+      case isa::ED: emit(isa::kPrefixED); emit(op); break;
+      case isa::XY: emit(xy); emit(op); break;
+      case isa::XYCB:  // the displacement precedes the opcode
+        emit(xy);
+        emit(isa::kPrefixCB);
+        emit(args[0]);
+        emit(op);
+        return Status::ok();
+      case isa::kPages: break;
+    }
+    for (unsigned i = 0; i < n; ++i) emit(args[i]);
     return Status::ok();
   }
 
@@ -913,610 +1052,7 @@ class Assembler {
       return Status::ok();
     }
 
-    // Zero-operand instructions.
-    static const std::map<std::string, std::vector<u8>> kSimple = {
-        {"nop", {0x00}},    {"halt", {0x76}},   {"di", {0xF3}},
-        {"ei", {0xFB}},     {"exx", {0xD9}},    {"rlca", {0x07}},
-        {"rrca", {0x0F}},   {"rla", {0x17}},    {"rra", {0x1F}},
-        {"daa", {0x27}},    {"cpl", {0x2F}},    {"scf", {0x37}},
-        {"ccf", {0x3F}},    {"neg", {0xED, 0x44}}, {"reti", {0xED, 0x4D}},
-        {"ldi", {0xED, 0xA0}}, {"ldd", {0xED, 0xA8}},
-        {"ldir", {0xED, 0xB0}}, {"lddr", {0xED, 0xB8}},
-        {"mul", {0xF7}},    {"lret", {0xED, 0xC9}},
-    };
-    if (auto it = kSimple.find(m); it != kSimple.end()) {
-      if (!line.operands.empty()) {
-        return Status(ErrorCode::kInvalidArgument,
-                      m + " takes no operands");
-      }
-      for (u8 b : it->second) emit(b);
-      return Status::ok();
-    }
-
-    if (m == "bool") {
-      // `bool hl`
-      Status s = need_operands(line, 1);
-      if (!s.is_ok()) return s;
-      if (lower(line.operands[0]) != "hl") {
-        return Status(ErrorCode::kInvalidArgument, "bool only supports HL");
-      }
-      emit2(0xED, 0x90);
-      return Status::ok();
-    }
-
-    if (m == "ld") return do_ld(line);
-    if (m == "push" || m == "pop") return do_push_pop(line, m == "push");
-    if (m == "ex") return do_ex(line);
-    if (m == "add" || m == "adc" || m == "sub" || m == "sbc" || m == "and" ||
-        m == "or" || m == "xor" || m == "cp") {
-      return do_alu(line);
-    }
-    if (m == "inc" || m == "dec") return do_incdec(line, m == "inc");
-    if (m == "rlc" || m == "rrc" || m == "rl" || m == "rr" || m == "sla" ||
-        m == "sra" || m == "srl") {
-      return do_rot(line);
-    }
-    if (m == "bit" || m == "res" || m == "set") return do_bit(line);
-    if (m == "jp") return do_jp(line);
-    if (m == "jr") return do_jr(line);
-    if (m == "djnz") return do_djnz(line);
-    if (m == "call") return do_call(line);
-    if (m == "ret") return do_ret(line);
-    if (m == "rst") return do_rst(line);
-    if (m == "in") return do_in(line);
-    if (m == "out") return do_out(line);
-    if (m == "lcall" || m == "ljp") return do_far(line, m == "lcall");
-
-    return Status(ErrorCode::kInvalidArgument, "unknown mnemonic: " + m);
-  }
-
-  Status do_ld(const Line& line) {
-    Status s = need_operands(line, 2);
-    if (!s.is_ok()) return s;
-    auto dst_r = parse_operand(line.operands[0]);
-    if (!dst_r.ok()) return dst_r.status();
-    auto src_r = parse_operand(line.operands[1]);
-    if (!src_r.ok()) return src_r.status();
-    const Op& dst = *dst_r;
-    const Op& src = *src_r;
-
-    // ld xpc,a / ld a,xpc
-    if (dst.kind == OpKind::kXpc && src.kind == OpKind::kReg8 && src.reg == 7) {
-      emit2(0xED, 0x67);
-      return Status::ok();
-    }
-    if (dst.kind == OpKind::kReg8 && dst.reg == 7 && src.kind == OpKind::kXpc) {
-      emit2(0xED, 0x77);
-      return Status::ok();
-    }
-
-    // 8-bit register destination.
-    if (dst.kind == OpKind::kReg8) {
-      switch (src.kind) {
-        case OpKind::kReg8:
-          emit(static_cast<u8>(0x40 | (dst.reg << 3) | src.reg));
-          return Status::ok();
-        case OpKind::kMemHl:
-          emit(static_cast<u8>(0x40 | (dst.reg << 3) | 6));
-          return Status::ok();
-        case OpKind::kMemIdx:
-          emit(src.reg == 4 ? 0xDD : 0xFD);
-          emit(static_cast<u8>(0x40 | (dst.reg << 3) | 6));
-          emit(static_cast<u8>(src.disp & 0xFF));
-          return Status::ok();
-        case OpKind::kMemBc:
-          if (dst.reg != 7) break;
-          emit(0x0A);
-          return Status::ok();
-        case OpKind::kMemDe:
-          if (dst.reg != 7) break;
-          emit(0x1A);
-          return Status::ok();
-        case OpKind::kMemNn:
-          if (dst.reg != 7) break;
-          emit(0x3A);
-          emit16(src.value);
-          return Status::ok();
-        case OpKind::kImm:
-          emit(static_cast<u8>(0x06 | (dst.reg << 3)));
-          emit(static_cast<u8>(src.value & 0xFF));
-          return Status::ok();
-        default:
-          break;
-      }
-    }
-
-    // (hl)/(ix+d)/(bc)/(de)/(nn) destination.
-    if (dst.kind == OpKind::kMemHl) {
-      if (src.kind == OpKind::kReg8) {
-        emit(static_cast<u8>(0x70 | src.reg));
-        return Status::ok();
-      }
-      if (src.kind == OpKind::kImm) {
-        emit(0x36);
-        emit(static_cast<u8>(src.value & 0xFF));
-        return Status::ok();
-      }
-    }
-    if (dst.kind == OpKind::kMemIdx) {
-      if (src.kind == OpKind::kReg8) {
-        emit(dst.reg == 4 ? 0xDD : 0xFD);
-        emit(static_cast<u8>(0x70 | src.reg));
-        emit(static_cast<u8>(dst.disp & 0xFF));
-        return Status::ok();
-      }
-      if (src.kind == OpKind::kImm) {
-        emit(dst.reg == 4 ? 0xDD : 0xFD);
-        emit(0x36);
-        emit(static_cast<u8>(dst.disp & 0xFF));
-        emit(static_cast<u8>(src.value & 0xFF));
-        return Status::ok();
-      }
-    }
-    if (dst.kind == OpKind::kMemBc && src.kind == OpKind::kReg8 &&
-        src.reg == 7) {
-      emit(0x02);
-      return Status::ok();
-    }
-    if (dst.kind == OpKind::kMemDe && src.kind == OpKind::kReg8 &&
-        src.reg == 7) {
-      emit(0x12);
-      return Status::ok();
-    }
-    if (dst.kind == OpKind::kMemNn) {
-      if (src.kind == OpKind::kReg8 && src.reg == 7) {
-        emit(0x32);
-        emit16(dst.value);
-        return Status::ok();
-      }
-      if (src.kind == OpKind::kReg16) {
-        switch (src.reg) {
-          case 2: emit(0x22); break;                  // hl
-          case 0: emit2(0xED, 0x43); break;           // bc
-          case 1: emit2(0xED, 0x53); break;           // de
-          case 3: emit2(0xED, 0x73); break;           // sp
-          case 4: emit2(0xDD, 0x22); break;           // ix
-          case 5: emit2(0xFD, 0x22); break;           // iy
-          default:
-            return Status(ErrorCode::kInvalidArgument, "ld (nn),af invalid");
-        }
-        emit16(dst.value);
-        return Status::ok();
-      }
-    }
-
-    // 16-bit register destination.
-    if (dst.kind == OpKind::kReg16) {
-      if (src.kind == OpKind::kImm) {
-        switch (dst.reg) {
-          case 0: emit(0x01); break;
-          case 1: emit(0x11); break;
-          case 2: emit(0x21); break;
-          case 3: emit(0x31); break;
-          case 4: emit2(0xDD, 0x21); break;
-          case 5: emit2(0xFD, 0x21); break;
-          default:
-            return Status(ErrorCode::kInvalidArgument, "ld af,nn invalid");
-        }
-        emit16(src.value);
-        return Status::ok();
-      }
-      if (src.kind == OpKind::kMemNn) {
-        switch (dst.reg) {
-          case 2: emit(0x2A); break;
-          case 0: emit2(0xED, 0x4B); break;
-          case 1: emit2(0xED, 0x5B); break;
-          case 3: emit2(0xED, 0x7B); break;
-          case 4: emit2(0xDD, 0x2A); break;
-          case 5: emit2(0xFD, 0x2A); break;
-          default:
-            return Status(ErrorCode::kInvalidArgument, "ld af,(nn) invalid");
-        }
-        emit16(src.value);
-        return Status::ok();
-      }
-      if (dst.reg == 3 && src.kind == OpKind::kReg16) {  // ld sp,hl/ix/iy
-        switch (src.reg) {
-          case 2: emit(0xF9); return Status::ok();
-          case 4: emit2(0xDD, 0xF9); return Status::ok();
-          case 5: emit2(0xFD, 0xF9); return Status::ok();
-          default: break;
-        }
-      }
-    }
-
-    return Status(ErrorCode::kInvalidArgument,
-                  "unsupported ld form: ld " + line.operands[0] + ", " +
-                      line.operands[1]);
-  }
-
-  Status do_push_pop(const Line& line, bool is_push) {
-    Status s = need_operands(line, 1);
-    if (!s.is_ok()) return s;
-    const int r = reg16_code(line.operands[0]);
-    const u8 base = is_push ? 0xC5 : 0xC1;
-    switch (r) {
-      case 0: emit(base); return Status::ok();
-      case 1: emit(static_cast<u8>(base + 0x10)); return Status::ok();
-      case 2: emit(static_cast<u8>(base + 0x20)); return Status::ok();
-      case 6: emit(static_cast<u8>(base + 0x30)); return Status::ok();
-      case 4: emit2(0xDD, static_cast<u8>(base + 0x20)); return Status::ok();
-      case 5: emit2(0xFD, static_cast<u8>(base + 0x20)); return Status::ok();
-      default:
-        return Status(ErrorCode::kInvalidArgument,
-                      "bad push/pop operand: " + line.operands[0]);
-    }
-  }
-
-  Status do_ex(const Line& line) {
-    Status s = need_operands(line, 2);
-    if (!s.is_ok()) return s;
-    const std::string a = lower(line.operands[0]);
-    const std::string b = lower(line.operands[1]);
-    if (a == "de" && b == "hl") { emit(0xEB); return Status::ok(); }
-    if (a == "af" && b == "af'") { emit(0x08); return Status::ok(); }
-    if (a == "(sp)" && b == "hl") { emit(0xE3); return Status::ok(); }
-    if (a == "(sp)" && b == "ix") { emit2(0xDD, 0xE3); return Status::ok(); }
-    if (a == "(sp)" && b == "iy") { emit2(0xFD, 0xE3); return Status::ok(); }
-    return Status(ErrorCode::kInvalidArgument, "unsupported ex form");
-  }
-
-  Status do_alu(const Line& line) {
-    static const std::map<std::string, unsigned> kAluIdx = {
-        {"add", 0}, {"adc", 1}, {"sub", 2}, {"sbc", 3},
-        {"and", 4}, {"xor", 5}, {"or", 6},  {"cp", 7}};
-    const unsigned idx = kAluIdx.at(line.mnemonic);
-
-    // Two-operand 16-bit forms: add hl,ss / adc hl,ss / sbc hl,ss /
-    // add ix,ss.
-    if (line.operands.size() == 2) {
-      const int d16 = reg16_code(line.operands[0]);
-      const int s16 = reg16_code(line.operands[1]);
-      if (d16 >= 0 && s16 >= 0) {
-        if (line.mnemonic == "add" && d16 == 2 && s16 <= 3) {
-          emit(static_cast<u8>(0x09 | (s16 << 4)));
-          return Status::ok();
-        }
-        if (line.mnemonic == "adc" && d16 == 2 && s16 <= 3) {
-          emit2(0xED, static_cast<u8>(0x4A | (s16 << 4)));
-          return Status::ok();
-        }
-        if (line.mnemonic == "sbc" && d16 == 2 && s16 <= 3) {
-          emit2(0xED, static_cast<u8>(0x42 | (s16 << 4)));
-          return Status::ok();
-        }
-        if (line.mnemonic == "add" && (d16 == 4 || d16 == 5)) {
-          // add ix,ss: "hl" slot means ix itself
-          int slot = s16;
-          if (s16 == d16) slot = 2;
-          if (slot > 3) {
-            return Status(ErrorCode::kInvalidArgument, "bad add ix operand");
-          }
-          emit(d16 == 4 ? 0xDD : 0xFD);
-          emit(static_cast<u8>(0x09 | (slot << 4)));
-          return Status::ok();
-        }
-        return Status(ErrorCode::kInvalidArgument, "unsupported 16-bit alu");
-      }
-    }
-
-    // 8-bit accumulator form: optional leading "a,".
-    std::string operand;
-    if (line.operands.size() == 2) {
-      if (lower(line.operands[0]) != "a") {
-        return Status(ErrorCode::kInvalidArgument,
-                      "alu destination must be a");
-      }
-      operand = line.operands[1];
-    } else if (line.operands.size() == 1) {
-      operand = line.operands[0];
-    } else {
-      return Status(ErrorCode::kInvalidArgument, "bad alu operand count");
-    }
-    auto op_r = parse_operand(operand);
-    if (!op_r.ok()) return op_r.status();
-    const Op& op = *op_r;
-    switch (op.kind) {
-      case OpKind::kReg8:
-        emit(static_cast<u8>(0x80 | (idx << 3) | op.reg));
-        return Status::ok();
-      case OpKind::kMemHl:
-        emit(static_cast<u8>(0x80 | (idx << 3) | 6));
-        return Status::ok();
-      case OpKind::kMemIdx:
-        emit(op.reg == 4 ? 0xDD : 0xFD);
-        emit(static_cast<u8>(0x80 | (idx << 3) | 6));
-        emit(static_cast<u8>(op.disp & 0xFF));
-        return Status::ok();
-      case OpKind::kImm:
-        emit(static_cast<u8>(0xC6 | (idx << 3)));
-        emit(static_cast<u8>(op.value & 0xFF));
-        return Status::ok();
-      default:
-        return Status(ErrorCode::kInvalidArgument,
-                      "bad alu operand: " + operand);
-    }
-  }
-
-  Status do_incdec(const Line& line, bool is_inc) {
-    Status s = need_operands(line, 1);
-    if (!s.is_ok()) return s;
-    auto op_r = parse_operand(line.operands[0]);
-    if (!op_r.ok()) return op_r.status();
-    const Op& op = *op_r;
-    if (op.kind == OpKind::kReg16) {
-      switch (op.reg) {
-        case 0: emit(is_inc ? 0x03 : 0x0B); return Status::ok();
-        case 1: emit(is_inc ? 0x13 : 0x1B); return Status::ok();
-        case 2: emit(is_inc ? 0x23 : 0x2B); return Status::ok();
-        case 3: emit(is_inc ? 0x33 : 0x3B); return Status::ok();
-        case 4: emit2(0xDD, is_inc ? 0x23 : 0x2B); return Status::ok();
-        case 5: emit2(0xFD, is_inc ? 0x23 : 0x2B); return Status::ok();
-        default:
-          return Status(ErrorCode::kInvalidArgument, "inc/dec af invalid");
-      }
-    }
-    const u8 base = is_inc ? 0x04 : 0x05;
-    if (op.kind == OpKind::kReg8) {
-      emit(static_cast<u8>(base | (op.reg << 3)));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemHl) {
-      emit(static_cast<u8>(base | (6 << 3)));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemIdx) {
-      emit(op.reg == 4 ? 0xDD : 0xFD);
-      emit(static_cast<u8>(base | (6 << 3)));
-      emit(static_cast<u8>(op.disp & 0xFF));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad inc/dec operand");
-  }
-
-  Status do_rot(const Line& line) {
-    static const std::map<std::string, unsigned> kRotIdx = {
-        {"rlc", 0}, {"rrc", 1}, {"rl", 2}, {"rr", 3},
-        {"sla", 4}, {"sra", 5}, {"srl", 7}};
-    const unsigned idx = kRotIdx.at(line.mnemonic);
-    Status s = need_operands(line, 1);
-    if (!s.is_ok()) return s;
-    auto op_r = parse_operand(line.operands[0]);
-    if (!op_r.ok()) return op_r.status();
-    const Op& op = *op_r;
-    if (op.kind == OpKind::kReg8) {
-      emit2(0xCB, static_cast<u8>((idx << 3) | op.reg));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemHl) {
-      emit2(0xCB, static_cast<u8>((idx << 3) | 6));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemIdx) {
-      emit(op.reg == 4 ? 0xDD : 0xFD);
-      emit(0xCB);
-      emit(static_cast<u8>(op.disp & 0xFF));
-      emit(static_cast<u8>((idx << 3) | 6));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad rotate operand");
-  }
-
-  Status do_bit(const Line& line) {
-    Status s = need_operands(line, 2);
-    if (!s.is_ok()) return s;
-    auto bit_r = eval(line.operands[0]);
-    if (!bit_r.ok()) return bit_r.status();
-    if (bit_r->value < 0 || bit_r->value > 7) {
-      return Status(ErrorCode::kOutOfRange, "bit index out of range");
-    }
-    const unsigned bit = static_cast<unsigned>(bit_r->value);
-    unsigned group;
-    if (line.mnemonic == "bit") group = 1;
-    else if (line.mnemonic == "res") group = 2;
-    else group = 3;
-    auto op_r = parse_operand(line.operands[1]);
-    if (!op_r.ok()) return op_r.status();
-    const Op& op = *op_r;
-    if (op.kind == OpKind::kReg8) {
-      emit2(0xCB, static_cast<u8>((group << 6) | (bit << 3) | op.reg));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemHl) {
-      emit2(0xCB, static_cast<u8>((group << 6) | (bit << 3) | 6));
-      return Status::ok();
-    }
-    if (op.kind == OpKind::kMemIdx) {
-      emit(op.reg == 4 ? 0xDD : 0xFD);
-      emit(0xCB);
-      emit(static_cast<u8>(op.disp & 0xFF));
-      emit(static_cast<u8>((group << 6) | (bit << 3) | 6));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad bit operand");
-  }
-
-  Status do_jp(const Line& line) {
-    if (line.operands.size() == 1) {
-      const std::string low = lower(line.operands[0]);
-      if (low == "(hl)") { emit(0xE9); return Status::ok(); }
-      if (low == "(ix)") { emit2(0xDD, 0xE9); return Status::ok(); }
-      if (low == "(iy)") { emit2(0xFD, 0xE9); return Status::ok(); }
-      auto v = eval(line.operands[0]);
-      if (!v.ok()) return v.status();
-      emit(0xC3);
-      emit16(to_logical(v->value));
-      return Status::ok();
-    }
-    if (line.operands.size() == 2) {
-      const int cc = cond_code(line.operands[0]);
-      if (cc < 0) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "bad condition: " + line.operands[0]);
-      }
-      auto v = eval(line.operands[1]);
-      if (!v.ok()) return v.status();
-      emit(static_cast<u8>(0xC2 | (cc << 3)));
-      emit16(to_logical(v->value));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad jp form");
-  }
-
-  Status do_jr(const Line& line) {
-    std::string target;
-    int cc = -1;
-    if (line.operands.size() == 1) {
-      target = line.operands[0];
-    } else if (line.operands.size() == 2) {
-      cc = cond_code(line.operands[0]);
-      if (cc < 0 || cc > 3) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "jr supports nz/z/nc/c only");
-      }
-      target = line.operands[1];
-    } else {
-      return Status(ErrorCode::kInvalidArgument, "bad jr form");
-    }
-    auto v = eval(target);
-    if (!v.ok()) return v.status();
-    const i64 dest = to_logical(v->value);
-    const i64 disp = dest - (addr_ + static_cast<i64>(emitted_.size()) + 2);
-    if (pass_ == 2 && (disp < -128 || disp > 127)) {
-      return Status(ErrorCode::kOutOfRange,
-                    "jr target out of range (" + std::to_string(disp) + ")");
-    }
-    emit(cc < 0 ? 0x18 : static_cast<u8>(0x20 | (cc << 3)));
-    emit(static_cast<u8>(disp & 0xFF));
-    return Status::ok();
-  }
-
-  Status do_djnz(const Line& line) {
-    Status s = need_operands(line, 1);
-    if (!s.is_ok()) return s;
-    auto v = eval(line.operands[0]);
-    if (!v.ok()) return v.status();
-    const i64 dest = to_logical(v->value);
-    const i64 disp = dest - (addr_ + static_cast<i64>(emitted_.size()) + 2);
-    if (pass_ == 2 && (disp < -128 || disp > 127)) {
-      return Status(ErrorCode::kOutOfRange, "djnz target out of range");
-    }
-    emit(0x10);
-    emit(static_cast<u8>(disp & 0xFF));
-    return Status::ok();
-  }
-
-  Status do_call(const Line& line) {
-    if (line.operands.size() == 1) {
-      auto v = eval(line.operands[0]);
-      if (!v.ok()) return v.status();
-      emit(0xCD);
-      emit16(to_logical(v->value));
-      return Status::ok();
-    }
-    if (line.operands.size() == 2) {
-      const int cc = cond_code(line.operands[0]);
-      if (cc < 0) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "bad condition: " + line.operands[0]);
-      }
-      auto v = eval(line.operands[1]);
-      if (!v.ok()) return v.status();
-      emit(static_cast<u8>(0xC4 | (cc << 3)));
-      emit16(to_logical(v->value));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad call form");
-  }
-
-  Status do_ret(const Line& line) {
-    if (line.operands.empty()) {
-      emit(0xC9);
-      return Status::ok();
-    }
-    if (line.operands.size() == 1) {
-      const int cc = cond_code(line.operands[0]);
-      if (cc < 0) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "bad condition: " + line.operands[0]);
-      }
-      emit(static_cast<u8>(0xC0 | (cc << 3)));
-      return Status::ok();
-    }
-    return Status(ErrorCode::kInvalidArgument, "bad ret form");
-  }
-
-  Status do_rst(const Line& line) {
-    Status s = need_operands(line, 1);
-    if (!s.is_ok()) return s;
-    auto v = eval(line.operands[0]);
-    if (!v.ok()) return v.status();
-    if (v->value % 8 != 0 || v->value < 0 || v->value > 0x38) {
-      return Status(ErrorCode::kOutOfRange, "bad rst vector");
-    }
-    if (v->value == 0x30) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "rst 30h is MUL on the Rabbit");
-    }
-    emit(static_cast<u8>(0xC7 | v->value));
-    return Status::ok();
-  }
-
-  Status do_in(const Line& line) {
-    Status s = need_operands(line, 2);
-    if (!s.is_ok()) return s;
-    if (lower(line.operands[0]) != "a") {
-      return Status(ErrorCode::kInvalidArgument, "in destination must be a");
-    }
-    auto op_r = parse_operand(line.operands[1]);
-    if (!op_r.ok()) return op_r.status();
-    if (op_r->kind != OpKind::kMemNn) {
-      return Status(ErrorCode::kInvalidArgument, "in source must be (port)");
-    }
-    emit(0xDB);
-    emit(static_cast<u8>(op_r->value & 0xFF));
-    return Status::ok();
-  }
-
-  Status do_out(const Line& line) {
-    Status s = need_operands(line, 2);
-    if (!s.is_ok()) return s;
-    auto op_r = parse_operand(line.operands[0]);
-    if (!op_r.ok()) return op_r.status();
-    if (op_r->kind != OpKind::kMemNn) {
-      return Status(ErrorCode::kInvalidArgument, "out target must be (port)");
-    }
-    if (lower(line.operands[1]) != "a") {
-      return Status(ErrorCode::kInvalidArgument, "out source must be a");
-    }
-    emit(0xD3);
-    emit(static_cast<u8>(op_r->value & 0xFF));
-    return Status::ok();
-  }
-
-  // lcall/ljp: one operand (physical label -> window addr + bank computed)
-  // or two operands (explicit logical addr, xpc byte).
-  Status do_far(const Line& line, bool is_call) {
-    i64 logical, xpc;
-    if (line.operands.size() == 1) {
-      auto v = eval(line.operands[0]);
-      if (!v.ok()) return v.status();
-      logical = 0xE000 + (v->value & 0x0FFF);
-      xpc = ((v->value >> 12) - 0x0E) & 0xFF;
-    } else if (line.operands.size() == 2) {
-      auto v1 = eval(line.operands[0]);
-      if (!v1.ok()) return v1.status();
-      auto v2 = eval(line.operands[1]);
-      if (!v2.ok()) return v2.status();
-      logical = v1->value;
-      xpc = v2->value;
-    } else {
-      return Status(ErrorCode::kInvalidArgument, "bad lcall/ljp form");
-    }
-    emit2(0xED, is_call ? 0xCD : 0xC3);
-    emit16(logical);
-    emit(static_cast<u8>(xpc & 0xFF));
-    return Status::ok();
+    return instruction(line);
   }
 
   const AssembleOptions& options_;
@@ -1528,7 +1064,6 @@ class Assembler {
   bool xmem_mode_ = false;
   rabbit::ImageChunk* chunk_ = nullptr;
   std::vector<u8> emitted_;
-  const Line* line_ = nullptr;
 };
 
 }  // namespace

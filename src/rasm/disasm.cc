@@ -3,19 +3,15 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "rabbit/isa.h"
+
 namespace rmc::rasm {
 
 using common::u16;
 using common::u8;
+namespace isa = rabbit::isa;
 
 namespace {
-
-const char* kR8[] = {"b", "c", "d", "e", "h", "l", "(hl)", "a"};
-const char* kR16[] = {"bc", "de", "hl", "sp"};
-const char* kCond[] = {"nz", "z", "nc", "c", "po", "pe", "p", "m"};
-const char* kAlu[] = {"add a,", "adc a,", "sub", "sbc a,",
-                      "and", "xor", "or", "cp"};
-const char* kRot[] = {"rlc", "rrc", "rl", "rr", "sla", "sra", "sll?", "srl"};
 
 std::string fmt(const char* f, ...) {
   char buf[64];
@@ -26,269 +22,61 @@ std::string fmt(const char* f, ...) {
   return buf;
 }
 
-struct Reader {
-  std::span<const u8> code;
-  std::size_t pos;
-  bool overrun = false;
-
-  u8 next() {
-    if (pos >= code.size()) {
-      overrun = true;
-      return 0;
-    }
-    return code[pos++];
-  }
-  u16 next16() {
-    const u8 lo = next();
-    const u8 hi = next();
-    return common::make16(lo, hi);
-  }
-};
-
-std::string dis_cb(Reader& r) {
-  const u8 op = r.next();
-  const unsigned reg = op & 7;
-  const unsigned bit = (op >> 3) & 7;
-  switch (op >> 6) {
-    case 0:
-      if (bit == 6) return {};
-      return fmt("%s %s", kRot[bit], kR8[reg]);
-    case 1: return fmt("bit %u, %s", bit, kR8[reg]);
-    case 2: return fmt("res %u, %s", bit, kR8[reg]);
-    default: return fmt("set %u, %s", bit, kR8[reg]);
-  }
-}
-
-std::string dis_ed(Reader& r) {
-  const u8 op = r.next();
-  switch (op) {
-    case 0x42: case 0x52: case 0x62: case 0x72:
-      return fmt("sbc hl, %s", kR16[(op >> 4) & 3]);
-    case 0x4A: case 0x5A: case 0x6A: case 0x7A:
-      return fmt("adc hl, %s", kR16[(op >> 4) & 3]);
-    case 0x43: case 0x53: case 0x63: case 0x73:
-      return fmt("ld (0%04xh), %s", r.next16(), kR16[(op >> 4) & 3]);
-    case 0x4B: case 0x5B: case 0x6B: case 0x7B:
-      return fmt("ld %s, (0%04xh)", kR16[(op >> 4) & 3], r.next16());
-    case 0x44: return "neg";
-    case 0x4D: return "reti";
-    case 0x67: return "ld xpc, a";
-    case 0x77: return "ld a, xpc";
-    case 0x90: return "bool hl";
-    case 0xA0: return "ldi";
-    case 0xA8: return "ldd";
-    case 0xB0: return "ldir";
-    case 0xB8: return "lddr";
-    case 0xC3: {
-      const u16 nn = r.next16();
-      return fmt("ljp 0%04xh, 0%02xh", nn, r.next());
-    }
-    case 0xCD: {
-      const u16 nn = r.next16();
-      return fmt("lcall 0%04xh, 0%02xh", nn, r.next());
-    }
-    case 0xC9: return "lret";
-    default: return {};
-  }
-}
-
-std::string dis_index(Reader& r, const char* xy) {
-  const u8 op = r.next();
-  if (op >= 0x40 && op <= 0x7F && op != 0x76) {
-    const unsigned dst = (op >> 3) & 7;
-    const unsigned src = op & 7;
-    if (src == 6) {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("ld %s, (%s%+d)", kR8[dst], xy, d);
-    }
-    if (dst == 6) {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("ld (%s%+d), %s", xy, d, kR8[src]);
-    }
-    return {};
-  }
-  if (op >= 0x80 && op <= 0xBF && (op & 7) == 6) {
-    const auto d = static_cast<common::i8>(r.next());
-    return fmt("%s (%s%+d)", kAlu[(op >> 3) & 7], xy, d);
-  }
-  switch (op) {
-    case 0x21: return fmt("ld %s, 0%04xh", xy, r.next16());
-    case 0x22: return fmt("ld (0%04xh), %s", r.next16(), xy);
-    case 0x2A: return fmt("ld %s, (0%04xh)", xy, r.next16());
-    case 0x23: return fmt("inc %s", xy);
-    case 0x2B: return fmt("dec %s", xy);
-    case 0x09: return fmt("add %s, bc", xy);
-    case 0x19: return fmt("add %s, de", xy);
-    case 0x29: return fmt("add %s, %s", xy, xy);
-    case 0x39: return fmt("add %s, sp", xy);
-    case 0x34: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("inc (%s%+d)", xy, d);
-    }
-    case 0x35: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("dec (%s%+d)", xy, d);
-    }
-    case 0x36: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("ld (%s%+d), 0%02xh", xy, d, r.next());
-    }
-    case 0xE1: return fmt("pop %s", xy);
-    case 0xE5: return fmt("push %s", xy);
-    case 0xE3: return fmt("ex (sp), %s", xy);
-    case 0xE9: return fmt("jp (%s)", xy);
-    case 0xF9: return fmt("ld sp, %s", xy);
-    case 0xCB: {
-      const auto d = static_cast<common::i8>(r.next());
-      const u8 sub = r.next();
-      if ((sub & 7) != 6) return {};
-      const unsigned bit = (sub >> 3) & 7;
-      switch (sub >> 6) {
-        case 0:
-          if (bit == 6) return {};
-          return fmt("%s (%s%+d)", kRot[bit], xy, d);
-        case 1: return fmt("bit %u, (%s%+d)", bit, xy, d);
-        case 2: return fmt("res %u, (%s%+d)", bit, xy, d);
-        default: return fmt("set %u, (%s%+d)", bit, xy, d);
-      }
-    }
-    default: return {};
-  }
-}
-
-std::string dis_main(Reader& r, u16 pc) {
-  const u8 op = r.next();
-  if (op >= 0x40 && op <= 0x7F) {
-    if (op == 0x76) return "halt";
-    return fmt("ld %s, %s", kR8[(op >> 3) & 7], kR8[op & 7]);
-  }
-  if (op >= 0x80 && op <= 0xBF) {
-    return fmt("%s %s", kAlu[(op >> 3) & 7], kR8[op & 7]);
-  }
-  switch (op) {
-    case 0x00: return "nop";
-    case 0x01: return fmt("ld bc, 0%04xh", r.next16());
-    case 0x11: return fmt("ld de, 0%04xh", r.next16());
-    case 0x21: return fmt("ld hl, 0%04xh", r.next16());
-    case 0x31: return fmt("ld sp, 0%04xh", r.next16());
-    case 0x02: return "ld (bc), a";
-    case 0x12: return "ld (de), a";
-    case 0x0A: return "ld a, (bc)";
-    case 0x1A: return "ld a, (de)";
-    case 0x03: return "inc bc";
-    case 0x13: return "inc de";
-    case 0x23: return "inc hl";
-    case 0x33: return "inc sp";
-    case 0x0B: return "dec bc";
-    case 0x1B: return "dec de";
-    case 0x2B: return "dec hl";
-    case 0x3B: return "dec sp";
-    case 0x04: case 0x0C: case 0x14: case 0x1C:
-    case 0x24: case 0x2C: case 0x34: case 0x3C:
-      return fmt("inc %s", kR8[(op >> 3) & 7]);
-    case 0x05: case 0x0D: case 0x15: case 0x1D:
-    case 0x25: case 0x2D: case 0x35: case 0x3D:
-      return fmt("dec %s", kR8[(op >> 3) & 7]);
-    case 0x06: case 0x0E: case 0x16: case 0x1E:
-    case 0x26: case 0x2E: case 0x36: case 0x3E:
-      return fmt("ld %s, 0%02xh", kR8[(op >> 3) & 7], r.next());
-    case 0x07: return "rlca";
-    case 0x0F: return "rrca";
-    case 0x17: return "rla";
-    case 0x1F: return "rra";
-    case 0x08: return "ex af, af'";
-    case 0xD9: return "exx";
-    case 0x09: case 0x19: case 0x29: case 0x39:
-      return fmt("add hl, %s", kR16[(op >> 4) & 3]);
-    case 0x10: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("djnz 0%04xh", static_cast<u16>(pc + 2 + d));
-    }
-    case 0x18: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("jr 0%04xh", static_cast<u16>(pc + 2 + d));
-    }
-    case 0x20: case 0x28: case 0x30: case 0x38: {
-      const auto d = static_cast<common::i8>(r.next());
-      return fmt("jr %s, 0%04xh", kCond[(op >> 3) & 3],
-                 static_cast<u16>(pc + 2 + d));
-    }
-    case 0x22: return fmt("ld (0%04xh), hl", r.next16());
-    case 0x2A: return fmt("ld hl, (0%04xh)", r.next16());
-    case 0x32: return fmt("ld (0%04xh), a", r.next16());
-    case 0x3A: return fmt("ld a, (0%04xh)", r.next16());
-    case 0x27: return "daa";
-    case 0x2F: return "cpl";
-    case 0x37: return "scf";
-    case 0x3F: return "ccf";
-    case 0xC0: case 0xC8: case 0xD0: case 0xD8:
-    case 0xE0: case 0xE8: case 0xF0: case 0xF8:
-      return fmt("ret %s", kCond[(op >> 3) & 7]);
-    case 0xC9: return "ret";
-    case 0xC1: return "pop bc";
-    case 0xD1: return "pop de";
-    case 0xE1: return "pop hl";
-    case 0xF1: return "pop af";
-    case 0xC5: return "push bc";
-    case 0xD5: return "push de";
-    case 0xE5: return "push hl";
-    case 0xF5: return "push af";
-    case 0xC3: return fmt("jp 0%04xh", r.next16());
-    case 0xC2: case 0xCA: case 0xD2: case 0xDA:
-    case 0xE2: case 0xEA: case 0xF2: case 0xFA:
-      return fmt("jp %s, 0%04xh", kCond[(op >> 3) & 7], r.next16());
-    case 0xCD: return fmt("call 0%04xh", r.next16());
-    case 0xC4: case 0xCC: case 0xD4: case 0xDC:
-    case 0xE4: case 0xEC: case 0xF4: case 0xFC:
-      return fmt("call %s, 0%04xh", kCond[(op >> 3) & 7], r.next16());
-    case 0xC6: return fmt("add a, 0%02xh", r.next());
-    case 0xCE: return fmt("adc a, 0%02xh", r.next());
-    case 0xD6: return fmt("sub 0%02xh", r.next());
-    case 0xDE: return fmt("sbc a, 0%02xh", r.next());
-    case 0xE6: return fmt("and 0%02xh", r.next());
-    case 0xEE: return fmt("xor 0%02xh", r.next());
-    case 0xF6: return fmt("or 0%02xh", r.next());
-    case 0xFE: return fmt("cp 0%02xh", r.next());
-    case 0xC7: case 0xCF: case 0xD7: case 0xDF:
-    case 0xE7: case 0xEF: case 0xFF:
-      return fmt("rst 0%02xh", op & 0x38);
-    case 0xF7: return "mul";
-    case 0xD3: return fmt("out (0%02xh), a", r.next());
-    case 0xDB: return fmt("in a, (0%02xh)", r.next());
-    case 0xE3: return "ex (sp), hl";
-    case 0xE9: return "jp (hl)";
-    case 0xEB: return "ex de, hl";
-    case 0xF9: return "ld sp, hl";
-    case 0xF3: return "di";
-    case 0xFB: return "ei";
-    default: return {};
-  }
-}
-
 }  // namespace
 
+// The row's template with its fields and operand bytes filled in.
 DisasmResult disassemble_one(std::span<const u8> code, std::size_t offset,
                              u16 pc) {
   DisasmResult res;
   if (offset >= code.size()) return res;
-  Reader r{code, offset};
-  const u8 op = code[offset];
-  std::string text;
-  switch (op) {
-    case 0xCB: r.next(); text = dis_cb(r); break;
-    case 0xED: r.next(); text = dis_ed(r); break;
-    case 0xDD: r.next(); text = dis_index(r, "ix"); break;
-    case 0xFD: r.next(); text = dis_index(r, "iy"); break;
-    default: text = dis_main(r, pc); break;
-  }
-  if (text.empty() || r.overrun) {
-    res.text = fmt("db 0%02xh", op);
-    res.length = 1;
-    res.valid = false;
+  const auto byte = [&](std::size_t i) -> u8 {
+    return offset + i < code.size() ? code[offset + i] : 0;
+  };
+  const isa::Decoded d = isa::decode(byte);
+  const std::size_t len = d.insn != nullptr ? d.insn->len : d.head;
+  if (d.insn == nullptr || offset + len > code.size()) {
+    res.text = fmt("db 0%02xh", code[offset]);
     return res;
   }
+  const char* xy = d.iy ? "iy" : "ix";
+  const isa::Form form = isa::split(d.insn->text);
+  std::size_t at = d.args;  // next operand byte
+  const auto next = [&] { return byte(at++); };
+  const auto next16 = [&] {
+    const u8 lo = next();
+    return common::make16(lo, next());
+  };
+  std::string text(form.mnemonic);
+  for (unsigned i = 0; i < form.count; ++i) {
+    text += i == 0 ? " " : ", ";
+    const std::string_view op = form.ops[i];
+    switch (isa::arg_kind(op)) {
+      case isa::Arg::kLit: text += op; break;
+      case isa::Arg::kField: {
+        const isa::Field& f = *isa::field(op);
+        const std::string_view name = f.names[isa::code_of(f, d.op)];
+        text += name == "xy" ? xy : name;
+        break;
+      }
+      case isa::Arg::kN: text += fmt("0%02xh", next()); break;
+      case isa::Arg::kNN:
+      case isa::Arg::kMM: text += fmt("0%04xh", next16()); break;
+      case isa::Arg::kE: {
+        const auto e = static_cast<common::i8>(next());
+        text += fmt("0%04xh", static_cast<u16>(pc + len + e));
+        break;
+      }
+      case isa::Arg::kPort: text += fmt("(0%02xh)", next()); break;
+      case isa::Arg::kAddr: text += fmt("(0%04xh)", next16()); break;
+      case isa::Arg::kIdx:
+        text += fmt("(%s%+d)", xy, static_cast<common::i8>(next()));
+        break;
+      case isa::Arg::kXY: text += xy; break;
+      case isa::Arg::kXYInd: text += fmt("(%s)", xy); break;
+    }
+  }
   res.text = std::move(text);
-  res.length = r.pos - offset;
+  res.length = len;
   res.valid = true;
   return res;
 }

@@ -27,8 +27,8 @@
 //     so the sampler scrapes nothing and exports empty sections.
 //
 // Driving it: call tick(now_ms) from any per-virtual-ms loop — ServiceBoard
-// ticks an attached sampler in poll(), rabbit::Fleet from its barrier hook —
-// and it samples only when a full period has elapsed.
+// ticks an attached sampler in poll() — and it samples only when a full
+// period has elapsed.
 #pragma once
 
 #include <cstddef>

@@ -1,17 +1,14 @@
 // Fast-dispatch interpreter tests: fast-vs-legacy equivalence, the
 // predecoded-cache coherence protocol (self-modifying code, targeted
 // invalidation), the logical-address-space wrap and XPC-window fetch edge
-// cases pinned for both dispatch modes, the zero-breakpoint hot-loop
-// regression, and the Fleet's threaded-vs-sequential determinism gate.
+// cases pinned for both dispatch modes, and the zero-breakpoint hot-loop
+// regression.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
-#include <memory>
 #include <vector>
 
-#include "rabbit/board.h"
 #include "rabbit/cpu.h"
-#include "rabbit/fleet.h"
 #include "rabbit/memory.h"
 
 namespace rmc::rabbit {
@@ -239,89 +236,6 @@ TEST(FastDispatch, StoreIntoCachedImmediateInvalidates) {
   m.cpu.regs().pc = 0x0100;
   EXPECT_EQ(m.cpu.run(100000), StopReason::kHalted);
   EXPECT_EQ(m.cpu.regs().a, 0x22);
-}
-
-// ---------------------------------------------------------------------------
-// Fleet determinism
-// ---------------------------------------------------------------------------
-
-// Give each board a distinct endless workload (counter loop with a
-// per-board stride) and check that N threads produce the exact same
-// architectural digest as the sequential run — the ISSUE's
-// "threaded == sequential" gate.
-void load_counter_program(Board& b, u8 stride) {
-  // LD A,stride; loop: LD HL,0x6000; ADD A,(HL); LD (HL),A; JP loop
-  const u8 prog[] = {0x3E, stride,            // LD A,stride
-                     0x21, 0x00, 0x60,        // LD HL,0x6000
-                     0x86,                    // ADD A,(HL)
-                     0x77,                    // LD (HL),A
-                     0xC3, 0x02, 0x01};       // JP 0x0102
-  u32 at = 0x0100;
-  for (u8 byte : prog) b.mem().write_phys(at++, byte);
-  b.cpu().regs().pc = 0x0100;
-}
-
-u64 run_fleet(unsigned threads, u64* hook_calls) {
-  std::vector<std::unique_ptr<Board>> boards;
-  Fleet fleet;
-  fleet.set_threads(threads);
-  for (u8 i = 0; i < 3; ++i) {
-    boards.push_back(std::make_unique<Board>());
-    load_counter_program(*boards.back(), static_cast<u8>(i + 1));
-    fleet.add(boards.back().get());
-  }
-  u64 calls = 0;
-  const Fleet::RunResult r =
-      fleet.run(5'000, 40, [&calls](u64) { ++calls; });
-  EXPECT_EQ(r.quanta, 40u);
-  EXPECT_GT(r.cycles, 0u);
-  if (hook_calls != nullptr) *hook_calls = calls;
-  return fleet.digest();
-}
-
-TEST(Fleet, ThreadedRunMatchesSequentialDigest) {
-  u64 seq_hooks = 0, thr_hooks = 0;
-  const u64 sequential = run_fleet(1, &seq_hooks);
-  const u64 threaded = run_fleet(4, &thr_hooks);
-  EXPECT_EQ(sequential, threaded);
-  EXPECT_EQ(seq_hooks, 40u);
-  EXPECT_EQ(thr_hooks, 40u);
-  // And the digest is actually sensitive to board state: a different
-  // workload digests differently.
-  std::vector<std::unique_ptr<Board>> boards;
-  Fleet other;
-  boards.push_back(std::make_unique<Board>());
-  load_counter_program(*boards.back(), 9);
-  other.add(boards.back().get());
-  other.run(5'000, 40);
-  EXPECT_NE(other.digest(), sequential);
-}
-
-// The barrier hook observes every board at the same virtual-time floor:
-// when it runs, each board has consumed at least (q+1) quanta of cycles.
-TEST(Fleet, BarrierHookSeesLockstepVirtualTime) {
-  std::vector<std::unique_ptr<Board>> boards;
-  Fleet fleet;
-  fleet.set_threads(3);
-  for (u8 i = 0; i < 3; ++i) {
-    boards.push_back(std::make_unique<Board>());
-    load_counter_program(*boards.back(), static_cast<u8>(i + 1));
-    fleet.add(boards.back().get());
-  }
-  constexpr u64 kQuantum = 2'000;
-  bool lockstep = true;
-  fleet.run(kQuantum, 25, [&](u64 q) {
-    for (auto& b : boards) {
-      if (b->cpu().cycles() < (q + 1) * kQuantum) lockstep = false;
-    }
-  });
-  EXPECT_TRUE(lockstep);
-}
-
-TEST(Fleet, ThreadsFromEnvDefaultsToOne) {
-  // The test runner doesn't set RMC_BOARD_THREADS; the default must be
-  // sequential so every existing bench stays single-threaded unless asked.
-  EXPECT_GE(Fleet::threads_from_env(), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // (MUL, BOOL, XPC, LCALL/LRET), interrupts, and the board model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rabbit/board.h"
 #include "rabbit/cpu.h"
 #include "rabbit/memory.h"
@@ -434,6 +436,38 @@ TEST(Cpu, IllegalOpcodeReported) {
   EXPECT_EQ(r, StopReason::kIllegal);
   EXPECT_NE(m.cpu.illegal_message().find("illegal opcode"), std::string::npos);
 }
+
+// Prefixed illegal forms name their real prefix bytes and the address the
+// instruction starts at, and skip exactly those bytes, on both dispatch
+// paths.
+class IllegalPrefixed : public ::testing::TestWithParam<DispatchMode> {};
+
+TEST_P(IllegalPrefixed, ReportsPrefixBytesAndStartAddress) {
+  struct Case {
+    std::vector<u8> code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {{0xFD, 0x40}, "illegal opcode FD 40 at 4000"},
+      {{0xDD, 0xCB, 0x05, 0x00}, "illegal opcode DD CB 05 00 at 4000"},
+      {{0xED, 0x00}, "illegal opcode ED 00 at 4000"},
+      {{0xCB, 0x30}, "illegal opcode CB 30 at 4000"},
+  };
+  for (const Case& c : cases) {
+    BareMachine m;
+    m.cpu.set_dispatch(GetParam());
+    m.cpu.regs().pc = 0x4000;
+    u32 at = 0x4000;
+    for (u8 b : c.code) m.mem.write_phys(at++, b);
+    EXPECT_EQ(m.cpu.run(100), StopReason::kIllegal);
+    EXPECT_EQ(m.cpu.illegal_message(), c.message);
+    EXPECT_EQ(m.cpu.regs().pc, 0x4000 + c.code.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, IllegalPrefixed,
+                         ::testing::Values(DispatchMode::kLegacy,
+                                           DispatchMode::kFast));
 
 // ---------------------------------------------------------------------------
 // Interrupts + peripherals

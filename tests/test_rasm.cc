@@ -1,9 +1,14 @@
 // Tests for the assembler and disassembler: encoding correctness (checked
 // byte-for-byte and by executing on the board), expressions, directives,
-// error reporting, and assemble->disassemble round trips.
+// error reporting, assemble->disassemble round trips, and sweeps over every
+// row of the instruction table (rabbit/isa.h) through both interpreters.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string_view>
+
 #include "rabbit/board.h"
+#include "rabbit/isa.h"
 #include "rasm/assembler.h"
 #include "rasm/disasm.h"
 
@@ -11,6 +16,8 @@ namespace rmc::rasm {
 namespace {
 
 using common::u16;
+using common::u32;
+using common::u64;
 using common::u8;
 using rabbit::Board;
 using rabbit::StopReason;
@@ -296,9 +303,10 @@ TEST(Disasm, InvalidByteFallsBackToDb) {
   EXPECT_EQ(one.length, 1u);
 }
 
-// Round-trip property: assemble each mnemonic form, disassemble, reassemble,
-// and require identical bytes. This pins the assembler and disassembler to
-// the same encoding table.
+// Source spellings: assemble hand-written forms (optional accumulator,
+// hex and expression operands), disassemble, reassemble, and require
+// identical bytes. The table sweeps below cover every encoding; these pin
+// the assembler's reading of what people write.
 class RoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RoundTrip, AssembleDisassembleAssemble) {
@@ -336,6 +344,153 @@ INSTANTIATE_TEST_SUITE_P(
         "call 300h", "call pe, 300h", "ret", "ret nc", "rst 18h",
         "in a, (0c0h)", "out (0c0h), a", "lcall 0e000h, 2h",
         "ljp 0e100h, 3h"));
+
+// ---------------------------------------------------------------------------
+// Whole-table sweeps (rabbit/isa.h)
+// ---------------------------------------------------------------------------
+
+namespace isa = rabbit::isa;
+
+struct Encoding {
+  const isa::Insn* insn;
+  std::vector<u8> bytes;
+};
+
+// Every encoding of every row, IX and IY alike, with fixed operand bytes:
+// 85h first (a negative displacement / relative offset), then 3Ch, 07h.
+std::vector<Encoding> all_encodings() {
+  std::vector<Encoding> out;
+  for (const isa::Insn& in : isa::kTable) {
+    isa::for_each_opcode(in, [&](u8 op) {
+      for (u8 xy : {isa::kPrefixIX, isa::kPrefixIY}) {
+        std::vector<u8> b;
+        switch (in.page) {
+          case isa::Main: b = {op}; break;
+          case isa::CB: b = {isa::kPrefixCB, op}; break;
+          case isa::ED: b = {isa::kPrefixED, op}; break;
+          case isa::XY: b = {xy, op}; break;
+          default: b = {xy, isa::kPrefixCB, 0x85, op}; break;
+        }
+        for (u8 arg : {0x85, 0x3C, 0x07}) {
+          if (b.size() < in.len) b.push_back(arg);
+        }
+        out.push_back({&in, b});
+        if (in.page != isa::XY && in.page != isa::XYCB) break;
+      }
+    });
+  }
+  return out;
+}
+
+struct SweepMachine {
+  rabbit::Memory mem;
+  rabbit::IoBus io;
+  rabbit::Cpu cpu{mem, io};
+
+  SweepMachine(rabbit::DispatchMode mode, const std::vector<u8>& code) {
+    mem.set_flash_writable(true);
+    cpu.set_dispatch(mode);
+    cpu.regs().sp = 0xDFF0;
+    cpu.regs().pc = 0x0100;
+    u32 at = 0x0100;
+    for (u8 b : code) mem.write_phys(at++, b);
+  }
+  std::size_t memory_hash() const {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(mem.raw_phys()),
+        rabbit::Memory::kPhysSize));
+  }
+};
+
+// Disassemble every encoding and reassemble the text: the same bytes come
+// back, except for the two decode-only aliases, which select the
+// unprefixed row (ED 63 costs what 22 costs; ED 6B costs 13 cycles to
+// 2A's 11, and no source spelling reaches it).
+TEST(IsaSweep, EveryEncodingRoundTrips) {
+  const std::vector<Encoding> all = all_encodings();
+  EXPECT_EQ(all.size(), 668u);
+  for (const Encoding& e : all) {
+    const isa::Decoded d = isa::decode([&](unsigned i) { return e.bytes[i]; });
+    ASSERT_EQ(d.insn, e.insn) << e.insn->text;
+    const DisasmResult dis = disassemble_one(e.bytes, 0, 0x0100);
+    ASSERT_TRUE(dis.valid) << e.insn->text;
+    ASSERT_EQ(dis.length, e.bytes.size()) << dis.text;
+    auto again = assemble(dis.text);
+    ASSERT_TRUE(again.ok()) << dis.text << ": " << again.status().to_string();
+    std::vector<u8> want = e.bytes;
+    if (want[0] == isa::kPrefixED && (want[1] == 0x63 || want[1] == 0x6B)) {
+      want = {static_cast<u8>(want[1] == 0x63 ? 0x22 : 0x2A), want[2],
+              want[3]};
+    }
+    EXPECT_EQ(again->image.chunks[0].bytes, want) << dis.text;
+  }
+}
+
+// Both interpreters execute every encoding from the same state to the same
+// state, charging one of the row's two costs. The two flag states make
+// every condition true in one and false in the other.
+TEST(IsaSweep, InterpretersAgreeOnEveryEncoding) {
+  for (const Encoding& e : all_encodings()) {
+    for (const u8 flags : {0x41, 0x84}) {  // Z|C, S|P/V
+      SweepMachine fast(rabbit::DispatchMode::kFast, e.bytes);
+      SweepMachine legacy(rabbit::DispatchMode::kLegacy, e.bytes);
+      for (SweepMachine* m : {&fast, &legacy}) {
+        m->cpu.regs().f = flags;
+        m->cpu.regs().set_bc(0x0102);
+        m->cpu.regs().ix = 0x6100;
+        m->cpu.regs().iy = 0x6200;
+        EXPECT_NE(m->cpu.run(1), rabbit::StopReason::kIllegal) << e.insn->text;
+      }
+      const u64 cyc = fast.cpu.cycles();
+      EXPECT_TRUE(cyc == e.insn->cyc || cyc == e.insn->alt) << e.insn->text;
+      EXPECT_EQ(cyc, legacy.cpu.cycles()) << e.insn->text;
+      EXPECT_EQ(fast.cpu.state_line(), legacy.cpu.state_line())
+          << e.insn->text;
+      EXPECT_EQ(fast.memory_hash(), legacy.memory_hash()) << e.insn->text;
+    }
+  }
+}
+
+// Everything outside the table is illegal for both interpreters and
+// undecodable for the disassembler.
+TEST(IsaSweep, EverythingElseIsIllegal) {
+  const auto is_index = [](u8 b) {
+    return b == isa::kPrefixIX || b == isa::kPrefixIY;
+  };
+  std::vector<std::vector<u8>> outside;
+  std::size_t sequences = 0;
+  for (unsigned op = 0; op < 256; ++op) {
+    const u8 o = static_cast<u8>(op);
+    for (std::vector<u8> b : {std::vector<u8>{o}, {isa::kPrefixCB, o},
+                              {isa::kPrefixED, o}, {isa::kPrefixIX, o},
+                              {isa::kPrefixIY, o},
+                              {isa::kPrefixIX, isa::kPrefixCB, 0x85, o},
+                              {isa::kPrefixIY, isa::kPrefixCB, 0x85, o}}) {
+      // A prefix byte where an opcode belongs starts another page.
+      if ((b.size() == 1 && (is_index(o) || o == isa::kPrefixCB ||
+                             o == isa::kPrefixED)) ||
+          (b.size() == 2 && is_index(b[0]) && o == isa::kPrefixCB)) {
+        continue;
+      }
+      ++sequences;
+      b.resize(6, 0);
+      if (isa::decode([&](unsigned i) { return b[i]; }).insn == nullptr) {
+        outside.push_back(b);
+      }
+    }
+  }
+  EXPECT_EQ(sequences, 252u + 256 + 256 + 255 + 255 + 256 + 256);
+  EXPECT_EQ(outside.size(), sequences - 668);
+  for (const std::vector<u8>& b : outside) {
+    EXPECT_FALSE(disassemble_one(b, 0, 0x0100).valid);
+    for (auto mode : {rabbit::DispatchMode::kFast,
+                      rabbit::DispatchMode::kLegacy}) {
+      SweepMachine m(mode, b);
+      EXPECT_EQ(m.cpu.run(1), rabbit::StopReason::kIllegal);
+      EXPECT_EQ(m.cpu.illegal_message().rfind("illegal opcode", 0), 0u);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rmc::rasm
