@@ -178,8 +178,11 @@ INSTANTIATE_TEST_SUITE_P(CarryStates, AluSweep, ::testing::Bool());
 // Rotate / shift sweep
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// has no padding: a u8 opcode would leave seven uninitialised bytes in the
+// test name, and the name would change whenever the binary is relinked.
 struct RotCase {
-  u8 cb_op;       // CB-prefixed opcode for register B
+  u64 cb_op;      // CB-prefixed opcode for register B
   const char* name;
   u8 (*model)(u8 v, bool cin, bool& cout);
 };
@@ -225,7 +228,7 @@ TEST_P(RotSweep, AllBytesBothCarryStates) {
       m.cpu().regs().b = static_cast<u8>(v);
       m.cpu().regs().f = cin ? Flag::C : 0;
       m.mem().write_phys(0x0100, 0xCB);
-      m.mem().write_phys(0x0101, rc.cb_op);
+      m.mem().write_phys(0x0101, static_cast<u8>(rc.cb_op));
       m.cpu().step();
       bool want_c = false;
       const u8 want = rc.model(static_cast<u8>(v), cin, want_c);
