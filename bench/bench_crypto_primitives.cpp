@@ -52,6 +52,19 @@ void BM_AesFastEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_AesFastEncrypt)->Arg(16)->Arg(24)->Arg(32);
 
+void BM_AesFastDecrypt(benchmark::State& state) {
+  const auto key = random_bytes(static_cast<std::size_t>(state.range(0)), 2);
+  auto aes = crypto::AesFast::create(key);
+  std::array<u8, 16> ct{}, pt{};
+  for (auto _ : state) {
+    aes->decrypt_block(ct, pt);
+    benchmark::DoNotOptimize(pt);
+    ct[0] = pt[0];
+  }
+  state.SetBytesProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_AesFastDecrypt)->Arg(16)->Arg(24)->Arg(32);
+
 void BM_AesKeyExpansion(benchmark::State& state) {
   auto key = random_bytes(static_cast<std::size_t>(state.range(0)), 3);
   for (auto _ : state) {

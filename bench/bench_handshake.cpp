@@ -24,7 +24,7 @@ namespace {
 
 struct HandshakeRun {
   u64 virtual_ms = 0;
-  double host_ms = 0;  // host CPU time: dominated by bignum for RSA
+  double host_ms = 0;  // host wall time: modexp for RSA, PRF/SHA-1 for PSK
   std::size_t messages = 0;
   bool ok = false;
 };
@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
               "time): %.0fx\n",
               rsa_host / (psk_host > 0 ? psk_host : 1e-9));
   std::puts("the paper's port dropped RSA because of the bignum package; on "
-            "a 30 MHz\n8-bit target the modexp above would take *minutes* -- "
-            "the negotiation\ncost is why the paper calls security 'not "
-            "cheap' (Section 2).");
+            "a 30 MHz\n8-bit target a 768-bit modexp is ~5M 16-bit "
+            "multiply-accumulates -- seconds,\nnot milliseconds (estimate) -- "
+            "which is why the paper calls security\n'not cheap' (Section 2).");
 
   report.result("rsa768_vs_psk_host_factor",
                 rsa_host / (psk_host > 0 ? psk_host : 1e-9));

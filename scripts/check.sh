@@ -4,7 +4,10 @@
 # xalloc exhaustion) — plus the resumption bench E11 and the trace audit
 # E12, so every corruption/teardown/recovery/abbreviated-handshake/tracing
 # path is sanitizer-clean, then double runs proving those --json artifacts
-# are byte-reproducible for a fixed seed. E12 additionally proves trace
+# are byte-reproducible for a fixed seed. The host-crypto unit tests
+# (test_crypto) run in the same sanitizer build, so the raw-limb bignum
+# kernels (Knuth division, Montgomery multiplication) are checked at every
+# limb width the tests sweep. E12 additionally proves trace
 # determinism: two traced runs must produce byte-identical Chrome trace
 # JSON *and* pcap, not just identical bench JSON. E15 (abuse soak) runs its
 # hostile-peer scenarios and the coverage-guided fuzz phase under the same
@@ -43,14 +46,16 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan soaks (E9, E10) + E11 + E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_crypto + soaks (E9, E10) + E11 + E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
-cmake --build "$san_dir" -j --target bench_fault_soak --target bench_crash_soak \
+cmake --build "$san_dir" -j --target test_crypto \
+  --target bench_fault_soak --target bench_crash_soak \
   --target bench_resumption --target bench_trace_audit \
   --target bench_crypto_offload --target bench_abuse_soak \
   --target bench_mem_churn --target bench_slo_timeline >/dev/null
+"$san_dir/tests/test_crypto" --gtest_brief=1
 "$san_dir/bench/bench_fault_soak" --seed 233
 "$san_dir/bench/bench_crash_soak" --seed 233
 "$san_dir/bench/bench_resumption"

@@ -1,6 +1,7 @@
 #include "crypto/aes.h"
 
 #include <cassert>
+#include <string>
 
 namespace rmc::crypto {
 
@@ -30,6 +31,7 @@ struct Tables {
   std::array<u8, 256> sbox;
   std::array<u8, 256> inv_sbox;
   std::array<u32, 256> te0, te1, te2, te3;
+  std::array<u32, 256> td0, td1, td2, td3;
 
   Tables() {
     // Multiplicative inverse via log/antilog over generator 3.
@@ -63,6 +65,16 @@ struct Tables {
       te2[i] = common::rotr32(t, 16);
       te3[i] = common::rotr32(t, 24);
     }
+    for (int i = 0; i < 256; ++i) {
+      const u8 s = inv_sbox[i];
+      const u32 t = (static_cast<u32>(gf_mul(s, 14)) << 24) |
+                    (static_cast<u32>(gf_mul(s, 9)) << 16) |
+                    (static_cast<u32>(gf_mul(s, 13)) << 8) | gf_mul(s, 11);
+      td0[i] = t;
+      td1[i] = common::rotr32(t, 8);
+      td2[i] = common::rotr32(t, 16);
+      td3[i] = common::rotr32(t, 24);
+    }
   }
 };
 
@@ -75,6 +87,40 @@ constexpr unsigned rounds_for(std::size_t key_len) {
   return static_cast<unsigned>(key_len / 4 + 6);
 }
 
+Status check_key_length(std::size_t key_len) {
+  if (key_len == 16 || key_len == 24 || key_len == 32) return Status::ok();
+  return Status(ErrorCode::kInvalidArgument,
+                "AES key must be 16/24/32 bytes, got " +
+                    std::to_string(key_len));
+}
+
+// FIPS-197 §5.2 KeyExpansion: 4 * (Nr + 1) words, stored as bytes in
+// column-major order (so a big-endian load of each 4-byte group is a word).
+void expand_key(std::span<const u8> key, unsigned rounds, u8* w) {
+  const unsigned nk = static_cast<unsigned>(key.size() / 4);
+  const unsigned total_words = 4 * (rounds + 1);
+  auto& t = tables();
+  for (unsigned i = 0; i < nk * 4; ++i) w[i] = key[i];
+  u8 rcon = 0x01;
+  for (unsigned i = nk; i < total_words; ++i) {
+    u8 word[4] = {w[(i - 1) * 4 + 0], w[(i - 1) * 4 + 1], w[(i - 1) * 4 + 2],
+                  w[(i - 1) * 4 + 3]};
+    if (i % nk == 0) {
+      const u8 tmp = word[0];  // RotWord
+      word[0] = static_cast<u8>(t.sbox[word[1]] ^ rcon);
+      word[1] = t.sbox[word[2]];
+      word[2] = t.sbox[word[3]];
+      word[3] = t.sbox[tmp];
+      rcon = gf_mul(rcon, 2);
+    } else if (nk > 6 && i % nk == 4) {
+      for (auto& b : word) b = t.sbox[b];
+    }
+    for (unsigned j = 0; j < 4; ++j) {
+      w[i * 4 + j] = static_cast<u8>(w[(i - nk) * 4 + j] ^ word[j]);
+    }
+  }
+}
+
 }  // namespace
 
 u8 aes_sbox(u8 x) { return tables().sbox[x]; }
@@ -85,42 +131,11 @@ u8 aes_inv_sbox(u8 x) { return tables().inv_sbox[x]; }
 // ---------------------------------------------------------------------------
 
 Result<Aes> Aes::create(std::span<const u8> key) {
-  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "AES key must be 16/24/32 bytes, got " +
-                      std::to_string(key.size()));
-  }
+  if (Status st = check_key_length(key.size()); !st) return st;
   Aes aes;
   aes.rounds_ = rounds_for(key.size());
-  aes.expand_key(key);
+  expand_key(key, aes.rounds_, aes.round_keys_.data());
   return aes;
-}
-
-void Aes::expand_key(std::span<const u8> key) {
-  const unsigned nk = static_cast<unsigned>(key.size() / 4);
-  const unsigned total_words = 4 * (rounds_ + 1);
-  auto& t = tables();
-  // Words stored directly into round_keys_ bytes (column-major order).
-  for (unsigned i = 0; i < nk * 4; ++i) round_keys_[i] = key[i];
-  u8 rcon = 0x01;
-  for (unsigned i = nk; i < total_words; ++i) {
-    u8 w[4] = {round_keys_[(i - 1) * 4 + 0], round_keys_[(i - 1) * 4 + 1],
-               round_keys_[(i - 1) * 4 + 2], round_keys_[(i - 1) * 4 + 3]};
-    if (i % nk == 0) {
-      const u8 tmp = w[0];  // RotWord
-      w[0] = static_cast<u8>(t.sbox[w[1]] ^ rcon);
-      w[1] = t.sbox[w[2]];
-      w[2] = t.sbox[w[3]];
-      w[3] = t.sbox[tmp];
-      rcon = gf_mul(rcon, 2);
-    } else if (nk > 6 && i % nk == 4) {
-      for (auto& b : w) b = t.sbox[b];
-    }
-    for (unsigned j = 0; j < 4; ++j) {
-      round_keys_[i * 4 + j] =
-          static_cast<u8>(round_keys_[(i - nk) * 4 + j] ^ w[j]);
-    }
-  }
 }
 
 void Aes::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
@@ -197,39 +212,30 @@ void Aes::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
 // ---------------------------------------------------------------------------
 
 Result<AesFast> AesFast::create(std::span<const u8> key) {
-  auto ref = Aes::create(key);
-  if (!ref.ok()) return ref.status();
+  if (Status st = check_key_length(key.size()); !st) return st;
   AesFast fast;
-  fast.ref_ = *ref;
-  fast.rounds_ = ref->rounds();
-  // Expand again as big-endian words (a big-endian load of each 4-byte
-  // group of the byte schedule gives the word schedule).
-  const unsigned nk = static_cast<unsigned>(key.size() / 4);
+  fast.rounds_ = rounds_for(key.size());
   const unsigned total_words = 4 * (fast.rounds_ + 1);
-  auto& t = tables();
   std::array<u8, 4 * 60> w{};
-  for (unsigned i = 0; i < nk * 4; ++i) w[i] = key[i];
-  u8 rcon = 0x01;
-  for (unsigned i = nk; i < total_words; ++i) {
-    u8 word[4] = {w[(i - 1) * 4 + 0], w[(i - 1) * 4 + 1], w[(i - 1) * 4 + 2],
-                  w[(i - 1) * 4 + 3]};
-    if (i % nk == 0) {
-      const u8 tmp = word[0];
-      word[0] = static_cast<u8>(t.sbox[word[1]] ^ rcon);
-      word[1] = t.sbox[word[2]];
-      word[2] = t.sbox[word[3]];
-      word[3] = t.sbox[tmp];
-      rcon = gf_mul(rcon, 2);
-    } else if (nk > 6 && i % nk == 4) {
-      for (auto& b : word) b = t.sbox[b];
-    }
-    for (unsigned j = 0; j < 4; ++j) {
-      w[i * 4 + j] = static_cast<u8>(w[(i - nk) * 4 + j] ^ word[j]);
-    }
-  }
+  expand_key(key, fast.rounds_, w.data());
   for (unsigned i = 0; i < total_words; ++i) {
     fast.enc_keys_[i] =
         common::load32be(std::span<const u8>(w.data() + i * 4, 4));
+  }
+  // Equivalent inverse cipher (FIPS-197 §5.3.5): the decryption schedule is
+  // the encryption one in reverse round order, with InvMixColumns applied to
+  // every round key but the first and last. InvMixColumns(w) is the Td
+  // lookup of SubBytes(w), since Td = InvMixColumns o InvSubBytes.
+  auto& t = tables();
+  for (unsigned r = 0; r <= fast.rounds_; ++r) {
+    for (unsigned c = 0; c < 4; ++c) {
+      u32 k = fast.enc_keys_[4 * (fast.rounds_ - r) + c];
+      if (r != 0 && r != fast.rounds_) {
+        k = t.td0[t.sbox[k >> 24]] ^ t.td1[t.sbox[(k >> 16) & 0xFF]] ^
+            t.td2[t.sbox[(k >> 8) & 0xFF]] ^ t.td3[t.sbox[k & 0xFF]];
+      }
+      fast.dec_keys_[4 * r + c] = k;
+    }
   }
   return fast;
 }
@@ -273,7 +279,41 @@ void AesFast::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
 }
 
 void AesFast::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
-  ref_.decrypt_block(in, out);
+  assert(in.size() >= kAesBlockBytes && out.size() >= kAesBlockBytes);
+  auto& t = tables();
+  const u32* rk = dec_keys_.data();
+  u32 s0 = common::load32be(in.subspan(0, 4)) ^ rk[0];
+  u32 s1 = common::load32be(in.subspan(4, 4)) ^ rk[1];
+  u32 s2 = common::load32be(in.subspan(8, 4)) ^ rk[2];
+  u32 s3 = common::load32be(in.subspan(12, 4)) ^ rk[3];
+
+  for (unsigned round = 1; round < rounds_; ++round) {
+    rk += 4;
+    const u32 t0 = t.td0[s0 >> 24] ^ t.td1[(s3 >> 16) & 0xFF] ^
+                   t.td2[(s2 >> 8) & 0xFF] ^ t.td3[s1 & 0xFF] ^ rk[0];
+    const u32 t1 = t.td0[s1 >> 24] ^ t.td1[(s0 >> 16) & 0xFF] ^
+                   t.td2[(s3 >> 8) & 0xFF] ^ t.td3[s2 & 0xFF] ^ rk[1];
+    const u32 t2 = t.td0[s2 >> 24] ^ t.td1[(s1 >> 16) & 0xFF] ^
+                   t.td2[(s0 >> 8) & 0xFF] ^ t.td3[s3 & 0xFF] ^ rk[2];
+    const u32 t3 = t.td0[s3 >> 24] ^ t.td1[(s2 >> 16) & 0xFF] ^
+                   t.td2[(s1 >> 8) & 0xFF] ^ t.td3[s0 & 0xFF] ^ rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+  rk += 4;
+  auto final_word = [&](u32 a, u32 b, u32 c, u32 d, u32 k) {
+    return (static_cast<u32>(t.inv_sbox[a >> 24]) << 24 |
+            static_cast<u32>(t.inv_sbox[(b >> 16) & 0xFF]) << 16 |
+            static_cast<u32>(t.inv_sbox[(c >> 8) & 0xFF]) << 8 |
+            static_cast<u32>(t.inv_sbox[d & 0xFF])) ^
+           k;
+  };
+  common::store32be(out.subspan(0, 4), final_word(s0, s3, s2, s1, rk[0]));
+  common::store32be(out.subspan(4, 4), final_word(s1, s0, s3, s2, rk[1]));
+  common::store32be(out.subspan(8, 4), final_word(s2, s1, s0, s3, rk[2]));
+  common::store32be(out.subspan(12, 4), final_word(s3, s2, s1, s0, rk[3]));
 }
 
 }  // namespace rmc::crypto

@@ -6,8 +6,9 @@
 //    SubBytes/ShiftRows/MixColumns/AddRoundKey). This is the "C port" shape,
 //    and the model for dc/aes.dc.
 //  * `AesFast` — the 32-bit T-table implementation typical of tuned C on
-//    workstations. Used by the host-side issl build and by E8's primitive
-//    comparison.
+//    workstations, in both directions (decryption runs the equivalent
+//    inverse cipher over Td tables). Used by the host-side issl build and by
+//    E8's primitive comparison.
 //
 // Both support 128/192/256-bit keys (the paper: "issl supports key lengths of
 // 128, 192, or 256 bits"); the embedded port pins 128 (see issl/config).
@@ -56,15 +57,12 @@ class Aes {
   unsigned rounds() const { return rounds_; }
 
  private:
-  void expand_key(std::span<const u8> key);
-
   std::array<u8, 16 * 15> round_keys_{};  // up to Nr=14 -> 15 round keys
   unsigned rounds_ = 0;
 };
 
-/// T-table AES (encrypt side shares the schedule logic with `Aes`;
-/// decryption uses the reference path since bulk TLS decryption shares the
-/// same tables in practice and the benches only sweep encryption).
+/// T-table AES. Shares the key expansion with `Aes`; decryption uses the
+/// FIPS-197 equivalent inverse cipher with its own round-key schedule.
 class AesFast {
  public:
   static common::Result<AesFast> create(std::span<const u8> key);
@@ -76,8 +74,8 @@ class AesFast {
   AesFast() = default;
 
   std::array<u32, 4 * 15> enc_keys_{};  // round keys as big-endian words
+  std::array<u32, 4 * 15> dec_keys_{};  // InvMixColumns'd, reverse order
   unsigned rounds_ = 0;
-  Aes ref_;  // decrypt fallback + schedule source
 };
 
 }  // namespace rmc::crypto

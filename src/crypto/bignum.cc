@@ -1,7 +1,10 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cctype>
+#include <cstdio>
 
 namespace rmc::crypto {
 
@@ -24,9 +27,12 @@ void BigNum::trim() {
 
 BigNum BigNum::from_bytes(std::span<const u8> be) {
   BigNum n;
-  for (u8 b : be) {
-    n = (n << 8) + BigNum(b);
+  n.limbs_.assign((be.size() + 3) / 4, 0);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    const std::size_t bit = 8 * (be.size() - 1 - i);
+    n.limbs_[bit / 32] |= static_cast<u32>(be[i]) << (bit % 32);
   }
+  n.trim();
   return n;
 }
 
@@ -206,26 +212,84 @@ Result<BigNum::DivMod> BigNum::divmod(const BigNum& divisor) const {
     dm.remainder = *this;
     return dm;
   }
-  // Binary long division.
-  const std::size_t shift = bit_length() - divisor.bit_length();
-  BigNum rem = *this;
-  BigNum den = divisor << shift;
-  std::vector<bool> qbits(shift + 1, false);
-  for (std::size_t i = shift + 1; i-- > 0;) {
-    if (rem >= den) {
-      rem = rem - den;
-      qbits[i] = true;
+  const std::vector<u32>& v = divisor.limbs_;
+  const std::size_t m = limbs_.size(), n = v.size();
+  dm.quotient.limbs_.assign(m - n + 1, 0);
+  u32* q = dm.quotient.limbs_.data();
+  if (n == 1) {
+    // Short division: one 64-by-32-bit step per limb.
+    u64 rem = 0;
+    for (std::size_t j = m; j-- > 0;) {
+      const u64 cur = (rem << 32) | limbs_[j];
+      q[j] = static_cast<u32>(cur / v[0]);
+      rem = cur % v[0];
     }
-    den = den >> 1;
+    dm.quotient.trim();
+    dm.remainder = BigNum(rem);
+    return dm;
   }
-  BigNum q;
-  q.limbs_.assign((qbits.size() + 31) / 32, 0);
-  for (std::size_t i = 0; i < qbits.size(); ++i) {
-    if (qbits[i]) q.limbs_[i / 32] |= (1u << (i % 32));
+  // Knuth, TAOCP vol. 2, §4.3.1, Algorithm D (limb layout as in Hacker's
+  // Delight `divmnu`). D1: shift both operands left so the divisor's top
+  // limb has its high bit set; q-hat is then at most two too large.
+  const int s = std::countl_zero(v.back());
+  auto shl = [s](u32 hi, u32 lo) {
+    return static_cast<u32>((static_cast<u64>(hi) << s) |
+                            (static_cast<u64>(lo) >> (32 - s)));
+  };
+  std::vector<u32> vn(n), un(m + 1);
+  for (std::size_t i = n; i-- > 1;) vn[i] = shl(v[i], v[i - 1]);
+  vn[0] = v[0] << s;
+  un[m] = shl(0, limbs_[m - 1]);
+  for (std::size_t i = m; i-- > 1;) un[i] = shl(limbs_[i], limbs_[i - 1]);
+  un[0] = limbs_[0] << s;
+
+  constexpr u64 kBase = u64{1} << 32;
+  const u64 vtop = vn[n - 1], vnext = vn[n - 2];
+  for (std::size_t j = m - n + 1; j-- > 0;) {
+    // D3: estimate q-hat from the top two limbs; the test against the
+    // third limb removes every overestimate but, rarely, one.
+    const u64 num = (static_cast<u64>(un[j + n]) << 32) | un[j + n - 1];
+    u64 qhat = num / vtop;
+    u64 rhat = num % vtop;
+    while (qhat >= kBase || qhat * vnext > ((rhat << 32) | un[j + n - 2])) {
+      --qhat;
+      rhat += vtop;
+      if (rhat >= kBase) break;
+    }
+    // D4: multiply and subtract q-hat * divisor from the window.
+    common::i64 borrow = 0;
+    common::i64 t = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u64 p = qhat * vn[i];
+      t = static_cast<common::i64>(un[i + j]) - borrow -
+          static_cast<common::i64>(p & 0xFFFFFFFFu);
+      un[i + j] = static_cast<u32>(t);
+      borrow = static_cast<common::i64>(p >> 32) - (t >> 32);
+    }
+    t = static_cast<common::i64>(un[j + n]) - borrow;
+    un[j + n] = static_cast<u32>(t);
+    q[j] = static_cast<u32>(qhat);
+    if (t < 0) {
+      // D6: q-hat was one too large; add the divisor back.
+      --q[j];
+      u64 carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const u64 sum = static_cast<u64>(un[i + j]) + vn[i] + carry;
+        un[i + j] = static_cast<u32>(sum);
+        carry = sum >> 32;
+      }
+      un[j + n] += static_cast<u32>(carry);
+    }
   }
-  q.trim();
-  dm.quotient = std::move(q);
-  dm.remainder = std::move(rem);
+  dm.quotient.trim();
+  // D8: the remainder is the low n limbs of the window, shifted back.
+  dm.remainder.limbs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dm.remainder.limbs_[i] =
+        static_cast<u32>((static_cast<u64>(un[i]) >> s) |
+                         (static_cast<u64>(un[i + 1]) << (32 - s)));
+  }
+  dm.remainder.trim();
   return dm;
 }
 
@@ -235,16 +299,100 @@ BigNum BigNum::mod(const BigNum& m) const {
   return std::move(dm->remainder);
 }
 
+namespace {
+
+// -m0^-1 mod 2^32 for odd m0. Newton's iteration doubles the number of
+// correct low bits per step, and m0 is its own inverse mod 8.
+u32 neg_inverse_u32(u32 m0) {
+  u32 inv = m0;
+  for (int i = 0; i < 4; ++i) inv *= 2 - m0 * inv;
+  return 0u - inv;
+}
+
+// out = a * b * 2^(-32n) mod m, for n-limb a, b < m with m odd
+// (Montgomery multiplication, coarsely integrated operand scanning: Koç,
+// Acar and Kaliski, "Analyzing and Comparing Montgomery Multiplication
+// Algorithms", 1996). `t` is n + 2 limbs of scratch; `out` may alias a or b.
+void mont_mul(const u32* a, const u32* b, const u32* m, u32 m_inv,
+              std::size_t n, u32* t, u32* out) {
+  std::fill(t, t + n + 2, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u64 cur = static_cast<u64>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<u32>(cur);
+      carry = cur >> 32;
+    }
+    u64 cur = static_cast<u64>(t[n]) + carry;
+    t[n] = static_cast<u32>(cur);
+    t[n + 1] = static_cast<u32>(cur >> 32);
+    // Add q * m, with q chosen so the low limb cancels, and shift down one
+    // limb.
+    const u32 q = t[0] * m_inv;
+    carry = (static_cast<u64>(q) * m[0] + t[0]) >> 32;
+    for (std::size_t j = 1; j < n; ++j) {
+      cur = static_cast<u64>(q) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<u32>(cur);
+      carry = cur >> 32;
+    }
+    cur = static_cast<u64>(t[n]) + carry;
+    t[n - 1] = static_cast<u32>(cur);
+    t[n] = t[n + 1] + static_cast<u32>(cur >> 32);
+  }
+  // t < 2m, so subtracting m once brings it below m; keep t instead when
+  // the subtraction borrows past t's top limb (t < m).
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 diff = static_cast<u64>(t[i]) - m[i] - borrow;
+    out[i] = static_cast<u32>(diff);
+    borrow = (diff >> 32) & 1;
+  }
+  if (borrow > t[n]) std::copy(t, t + n, out);
+}
+
+}  // namespace
+
 BigNum BigNum::modexp(const BigNum& exponent, const BigNum& m) const {
   assert(!m.is_zero());
-  BigNum base = mod(m);
-  BigNum result(1);
-  result = result.mod(m);
   const std::size_t nbits = exponent.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    result = (result * result).mod(m);
-    if (exponent.bit(i)) result = (result * base).mod(m);
+  if (!m.is_odd()) {
+    // Montgomery needs an odd modulus; even ones (never an RSA or
+    // Miller-Rabin modulus) square and multiply with a division per step.
+    BigNum base = mod(m);
+    BigNum result = BigNum(1).mod(m);
+    for (std::size_t i = nbits; i-- > 0;) {
+      result = (result * result).mod(m);
+      if (exponent.bit(i)) result = (result * base).mod(m);
+    }
+    return result;
   }
+  if (m == BigNum(1)) return BigNum();
+  // With R = 2^(32n), entering the Montgomery domain is a multiplication
+  // by R^2 mod m and leaving it is a multiplication by 1.
+  const std::size_t n = m.limbs_.size();
+  const BigNum r2 = (BigNum(1) << (64 * n)).mod(m);
+  const BigNum base = mod(m);
+  const u32 m_inv = neg_inverse_u32(m.limbs_[0]);
+  std::vector<u32> buf(5 * n + 2, 0);
+  u32* rr = buf.data();  // R^2 mod m
+  u32* a = rr + n;       // base, then base * R mod m
+  u32* x = a + n;        // accumulator, in the Montgomery domain
+  u32* one = x + n;
+  u32* t = one + n;  // n + 2 limbs of scratch
+  std::copy(r2.limbs_.begin(), r2.limbs_.end(), rr);
+  std::copy(base.limbs_.begin(), base.limbs_.end(), a);
+  one[0] = 1;
+  const u32* md = m.limbs_.data();
+  mont_mul(a, rr, md, m_inv, n, t, a);
+  mont_mul(one, rr, md, m_inv, n, t, x);  // x = R mod m, i.e. 1
+  for (std::size_t i = nbits; i-- > 0;) {
+    mont_mul(x, x, md, m_inv, n, t, x);
+    if (exponent.bit(i)) mont_mul(x, a, md, m_inv, n, t, x);
+  }
+  mont_mul(x, one, md, m_inv, n, t, x);
+  BigNum result;
+  result.limbs_.assign(x, x + n);
+  result.trim();
   return result;
 }
 

@@ -4,9 +4,9 @@
 // and so E6 can price what the port gave up.
 //
 // Representation: little-endian vector of 32-bit limbs, no leading zero
-// limbs (zero is an empty vector). Operations are schoolbook; modexp is
-// square-and-multiply. Performance is adequate for the <=1024-bit keys the
-// tests and benches use.
+// limbs (zero is an empty vector). Multiplication is schoolbook, division is
+// Knuth's Algorithm D, and modexp over an odd modulus squares and multiplies
+// in the Montgomery domain (over an even one, with a division per step).
 #pragma once
 
 #include <compare>
