@@ -46,10 +46,7 @@ using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 using abuse::Behavior;
 using AttackOpts = abuse::HostileClient::Options;
@@ -495,10 +492,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.flag_int("fuzz-iters", 900, 0));
   const bool smoke = args.flag_int("smoke", 0, 0) != 0;
 
-  // The abuse run wants the hardening counters in the registry (they are
-  // off by default to keep pre-existing benches' JSON stable) and the
-  // flight recorder on (the attribution gate reads it).
-  issl::set_hardening_telemetry(true);
+  // The flight recorder must be on: the attribution gate reads it.
   telemetry::Tracer::global().set_enabled(true);
 
   std::puts("================================================================");

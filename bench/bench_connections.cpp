@@ -19,10 +19,7 @@ using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 int completed_handshakes(std::size_t handler_slots, int offered_clients,
                          int rounds) {

@@ -41,10 +41,7 @@ using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 enum class Death { kWedge, kPowerCut, kXalloc };
 
@@ -103,7 +100,7 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
     cfg.power_plan = plan;
   }
   if (death == Death::kXalloc) {
-    cfg.session_xalloc_bytes = 96;
+    cfg.redirector.session_xalloc_bytes = 96;
     cfg.xalloc_capacity = 32 * 96;  // 32 sessions, then the arena is spent
   }
   services::ServiceBoard board(medium, cfg);

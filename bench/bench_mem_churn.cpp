@@ -61,10 +61,7 @@ using dynk::SlabHandle;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 // The redirector's per-connection recipe (redirector.cc alloc_conn), sized
 // for a given TLS shape. Kept in one place so the in-vitro phase replays
@@ -420,10 +417,6 @@ int main(int argc, char** argv) {
   const bool quarantine_main = args.flag_int("quarantine", 0, 0) != 0;
   const std::size_t kSlots = 16;          // concurrent lifetimes in vitro
   const std::size_t kBudget = 256 * 1024; // slab SRAM budget everywhere
-
-  // Named per-cause reset telemetry (satellite of this PR): lets the gate
-  // below assert "zero alloc-caused restarts" against the registry by name.
-  services::set_reset_cause_telemetry(true);
 
   std::printf("E16: memory churn soak (slab allocator, DESIGN.md s14)\n");
   std::printf("  seed=%llu churn=%llu quarantine=%llu sessions=%llu "

@@ -18,8 +18,8 @@
 //       outside the fault windows;
 //   (b) bounded memory — the sampler's retained footprint stays inside the
 //       ring budget no matter how long the soak runs;
-//   (c) passivity — the identical scenario run bare (no sampler, no tracer,
-//       no latency telemetry) produces a byte-identical behavior signature
+//   (c) passivity — the identical scenario run bare (no sampler, no tracer)
+//       produces a byte-identical behavior signature
 //       (completions, failures, boots, wire counters, fault edges) to the
 //       fully instrumented run: observing the service must not change it;
 //   (d) determinism — everything derives from --seed, so the --json /
@@ -43,10 +43,7 @@ using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 // Timeline. Two clocks are in play: the harness loop count, and the
 // medium's virtual clock — which runs at ~2 ms per loop pass while the
@@ -309,7 +306,6 @@ int main(int argc, char** argv) {
   telemetry::Registry::global().reset();
   telemetry::Tracer::global().clear();
   telemetry::Tracer::global().set_enabled(true);
-  services::set_latency_telemetry(true);
 
   telemetry::Sampler sampler(
       telemetry::SamplerConfig{.period_ms = kPeriodMs,
@@ -352,7 +348,6 @@ int main(int argc, char** argv) {
   const std::size_t kLat = engine.add_rule(lat);
 
   const Outcome run = run_scenario(seed, &sampler, &engine);
-  services::set_latency_telemetry(false);
   telemetry::Tracer::global().set_enabled(false);
 
   // --- report ---------------------------------------------------------------

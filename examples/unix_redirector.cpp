@@ -11,14 +11,8 @@
 #include "services/redirector.h"
 
 using namespace rmc;
+using common::bytes_of;
 using common::u8;
-
-namespace {
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
-}  // namespace
 
 int main() {
   net::SimNet medium(7);

@@ -69,6 +69,12 @@ constexpr u8 rotl8(u8 v, unsigned n) {
   return n == 0 ? v : static_cast<u8>((v << n) | (v >> (8U - n)));
 }
 
+/// The bytes of a string, for handing text to byte-oriented APIs.
+inline std::vector<u8> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const u8*>(s.data()),
+          reinterpret_cast<const u8*>(s.data()) + s.size()};
+}
+
 /// Format bytes as lowercase hex ("deadbeef"). Used by tests and dumps.
 std::string to_hex(std::span<const u8> bytes);
 

@@ -68,13 +68,8 @@ telemetry::Counter& alloc_shed_counter() {
   return c;
 }
 
-// Latency histograms are opt-in (same pattern as the supervisor's
-// reset-cause counters): registering them changes the metrics JSON, and the
-// byte-identity gates pin the default export. Benches that want tail
-// latency (E17, the fleet work) flip services::set_latency_telemetry(true).
-bool g_latency_telemetry = false;
-
-// All in virtual cycles (1 ms = 30'000 cycles on the 30 MHz board), so the
+// Latency histograms, registered lazily on their first sample. All in
+// virtual cycles (1 ms = 30'000 cycles on the 30 MHz board), so the
 // numbers compare directly with the paper's cycle accounting. Handshake
 // bounds span 1 ms..10 s; RTT bounds 1 ms..1 s.
 telemetry::Histogram& hs_full_hist() {
@@ -111,9 +106,6 @@ void trace_slot(u8 event, common::u32 conn, common::u32 a,
   tracer.emit(telemetry::TraceLayer::kService, event, conn, a, b);
 }
 }  // namespace
-
-void set_latency_telemetry(bool on) { g_latency_telemetry = on; }
-bool latency_telemetry() { return g_latency_telemetry; }
 
 // ---------------------------------------------------------------------------
 // RmcRedirector — the Figure 3 structure
@@ -323,9 +315,7 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
     // an injected fault — sheds exactly this connection; the slot recycles
     // on the next client and the board never restarts. This is the designed
     // antithesis of the xalloc path above.
-    const bool slab_mode =
-        config_.allocator == dynk::AllocatorKind::kSlab &&
-        config_.slab != nullptr;
+    const bool slab_mode = config_.slab != nullptr;
     if (slab_mode && usable && !alloc_conn(slot)) {
       ++stats_.alloc_sheds;
       alloc_shed_counter().add();
@@ -406,14 +396,12 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
           co_await scheduler_.delay(static_cast<common::u32>(
               hs_cycles / 30'000));
         }
-        if (latency_telemetry()) {
-          // Start -> established-and-ready, crypto cost model included, in
-          // virtual cycles. Separate curves: the resumption speedup is the
-          // whole point of the abbreviated path.
-          const u64 cycles = (scheduler_.now_ms() - hs_start_ms) * 30'000;
-          (session->resumed() ? hs_resumed_hist() : hs_full_hist())
-              .record(cycles);
-        }
+        // Start -> established-and-ready, crypto cost model included, in
+        // virtual cycles. Separate curves: the resumption speedup is the
+        // whole point of the abbreviated path.
+        const u64 cycles = (scheduler_.now_ms() - hs_start_ms) * 30'000;
+        (session->resumed() ? hs_resumed_hist() : hs_full_hist())
+            .record(cycles);
       }
     }
 
@@ -455,7 +443,7 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
     u64 last_progress_ms = scheduler_.now_ms();
     common::u64 crypto_cycles_owed = 0;  // accumulated cipher+MAC work
     // Backend-path RTT curve: the TCP stack completes passive samples on
-    // ACKs (see TcpStack::last_rtt_ms); each new one lands in the gated
+    // ACKs (see TcpStack::last_rtt_ms); each new one lands in the
     // histogram. Samples from the connect handshake don't exist (only data
     // segments are stamped), so this starts at zero.
     u64 rtt_seen = backend >= 0 ? stack_.rtt_samples(backend) : 0;
@@ -526,7 +514,7 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
         }
         if (!dc_.tcp_tick(&sock)) done = true;
       }
-      if (latency_telemetry() && backend >= 0) {
+      if (backend >= 0) {
         const u64 s = stack_.rtt_samples(backend);
         if (s != rtt_seen) {
           rtt_seen = s;

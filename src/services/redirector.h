@@ -20,6 +20,12 @@
 //
 // The hard connection ceiling of the port (max N simultaneous clients, fixed
 // at "compile time") is the subject of bench_connections (E4).
+//
+// The RmcRedirector records its latency in virtual cycles: handshake
+// start->established in `redirector.handshake_full_cycles` and
+// `redirector.handshake_resumed_cycles`, and backend forward RTT in
+// `redirector.forward_rtt_cycles`. Each histogram is registered on its first
+// sample.
 #pragma once
 
 #include <functional>
@@ -43,14 +49,6 @@ namespace rmc::services {
 
 using common::u64;
 using common::u8;
-
-/// Opt-in latency histograms on the redirector hot path: handshake
-/// start->established (full and abbreviated-resume curves) and per-connection
-/// backend forward RTT, all in virtual cycles. Off by default — registering
-/// histograms changes the metrics JSON, and the byte-identity gates pin the
-/// default export (same pattern as set_reset_cause_telemetry). Process-wide.
-void set_latency_telemetry(bool on);
-bool latency_telemetry();
 
 /// The redirector's battery-backed bookkeeping: everything the service must
 /// not lose across a watchdog bite or power cut. Stored through a
@@ -138,13 +136,11 @@ struct RedirectorConfig {
   std::size_t session_xalloc_bytes = 0;
 
   // --- Production memory (DESIGN.md §14; paper-mode xalloc by default) -----
-  /// kSlab routes per-connection state through `slab` instead of the no-free
-  /// arena: alloc at accept, real free at slot close, exhaustion sheds the
-  /// one connection (RST + counter) instead of requesting a board restart.
-  /// kXalloc (the default) leaves every legacy path byte-identical.
-  dynk::AllocatorKind allocator = dynk::AllocatorKind::kXalloc;
-  /// Required when allocator == kSlab (typically supervisor-owned, rebuilt
-  /// per boot like the arena).
+  /// Non-null routes per-connection state through this slab instead of the
+  /// no-free arena: alloc at accept, real free at slot close, exhaustion
+  /// sheds the one connection (RST + counter) instead of requesting a board
+  /// restart. Null (the default) leaves every legacy path byte-identical.
+  /// Typically supervisor-owned, rebuilt per boot like the arena.
   dynk::SlabAllocator* slab = nullptr;
 
   // --- Session resumption (DESIGN.md §10; all off by default) -------------

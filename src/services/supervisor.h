@@ -22,6 +22,10 @@
 // the reborn stack answers stale segments with RST, so a surviving client
 // sees a reset within its retransmission horizon — never a half-open
 // connection that hangs forever.
+//
+// Every reset counts in `board.resets` and in a per-cause counter,
+// `board.resets.<cause>` (watchdog / power-cut / xalloc), registered on the
+// first reset of that cause.
 #pragma once
 
 #include <memory>
@@ -36,14 +40,6 @@
 #include "telemetry/timeseries.h"
 
 namespace rmc::services {
-
-/// Per-cause reset telemetry (board.resets.<cause> counters plus a
-/// "reset-cause <name>" battery-log line on each go_down). Off by default:
-/// enabling it changes metrics JSON and battery-log contents, so fault
-/// benches that predate it (E10, E15) stay byte-identical unless a harness
-/// opts in. E16 opts in to assert zero alloc-caused restarts by name.
-void set_reset_cause_telemetry(bool on);
-bool reset_cause_telemetry();
 
 /// Why the service world last went down.
 enum class FaultKind : common::u8 {
@@ -86,22 +82,19 @@ struct ServiceBoardConfig {
   common::u64 power_off_ms = 50;
   /// Reboot latency for warm (watchdog / controlled) restarts.
   common::u64 reboot_ms = 2;
-  /// Per-boot xalloc arena; 0 disables the arena model entirely.
+  /// Per-boot xalloc arena (or slab budget); 0 disables the arena model
+  /// entirely. Each session's charge is `redirector.session_xalloc_bytes`.
   std::size_t xalloc_capacity = 0;
-  std::size_t session_xalloc_bytes = 0;
   std::size_t battery_log_bytes = 1'024;
   dynk::PowerFaultPlan power_plan;  // none() = power never fails
 
   // --- Production memory (DESIGN.md §14; paper-mode xalloc by default) -----
-  /// kSlab rebuilds a SlabAllocator per boot over the same xalloc_capacity
-  /// budget and routes the redirector's per-connection state through it
-  /// (real free at slot close, shed-on-exhaustion). kXalloc keeps every
-  /// legacy path — arena, restart-to-reclaim — byte-identical.
+  /// kSlab rebuilds a SlabAllocator (default SlabConfig) per boot over the
+  /// same xalloc_capacity budget and hands it to the redirector as
+  /// `RedirectorConfig::slab` (real free at slot close, shed-on-exhaustion).
+  /// kXalloc keeps every legacy path — arena, restart-to-reclaim —
+  /// byte-identical.
   dynk::AllocatorKind allocator = dynk::AllocatorKind::kXalloc;
-  std::size_t slab_page_bytes = 4'096;
-  /// Debug poison/quarantine mode for the slab (see SlabConfig).
-  bool slab_quarantine = false;
-  std::size_t slab_quarantine_depth = 16;
   /// Seeded allocation-failure injection; none() = allocations never fail.
   /// The monitor persists across boots (like the power plan) so a sequence
   /// spanning restarts keeps its countdown.

@@ -17,10 +17,7 @@ namespace {
 using common::u32;
 using common::u8;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 // ---------------------------------------------------------------------------
 // Crypto cost model: charging measured cycles must slow the secure service

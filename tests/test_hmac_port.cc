@@ -76,10 +76,7 @@ struct HmacBoard {
   }
 };
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 TEST(HmacPort, Rfc2202Vector1) {
   HmacBoard hb;

@@ -24,10 +24,7 @@ constexpr IpAddr kServerIp = 1;
 constexpr IpAddr kClientIp = 2;
 constexpr Port kTlsPort = 4433;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 // ---------------------------------------------------------------------------
 // Record layer in isolation (loopback buffer stream)
@@ -212,7 +209,7 @@ TEST(SessionTest, FlippedCiphertextBitFailsClosedWithExactlyOneMacFailure) {
   }
   ASSERT_TRUE(client.established() && server.established());
 
-  const common::u64 before = mac_failure_count();
+  [[maybe_unused]] const common::u64 before = mac_failure_count();
   ASSERT_TRUE(issl_write(client, bytes_of("launch code 0000")).ok());
   // Flip one bit of the IV (right after the 4-byte record header): CBC
   // turns that into a single flipped plaintext bit in the first block, so
@@ -230,7 +227,9 @@ TEST(SessionTest, FlippedCiphertextBitFailsClosedWithExactlyOneMacFailure) {
   // poison itself, and the failure must be attributed exactly once.
   EXPECT_TRUE(leaked.empty());
   EXPECT_TRUE(server.failed());
+#if RMC_TELEMETRY_ENABLED
   EXPECT_EQ(mac_failure_count(), before + 1);
+#endif
 
   // Fail closed stays closed: even a freshly sealed, valid record from the
   // honest peer is refused after the poisoning.
@@ -684,11 +683,13 @@ TEST(SessionTest, SmallRsaModulusExpandsPremasterOnBothSides) {
   ServerIdentity id;
   id.rsa = crypto::rsa_generate(cfg.rsa_modulus_bits, h.server_rng);
   auto server = issl_bind_server(*h.server_stream, cfg, h.server_rng, id);
-  const common::u64 before = premaster_expansions();
+  [[maybe_unused]] const common::u64 before = premaster_expansions();
   ASSERT_TRUE(h.drive(client, server));
   EXPECT_TRUE(client.premaster_expanded());
   EXPECT_TRUE(server.premaster_expanded());
+#if RMC_TELEMETRY_ENABLED
   EXPECT_EQ(premaster_expansions(), before + 2);
+#endif
   // Matching masters or nothing: prove it with an application-data echo.
   const auto msg = bytes_of("expanded but interoperable");
   ASSERT_TRUE(issl_write(client, msg).ok());

@@ -284,10 +284,7 @@ constexpr net::IpAddr kClientIp = 3;
 constexpr net::Port kTlsPort = 4433;
 constexpr net::Port kBackendPort = 8000;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 struct FaultWorld {
   net::SimNet net{777};
@@ -447,7 +444,7 @@ TEST(ServiceBoardTest, XallocExhaustionTriggersControlledRestart) {
   ASSERT_TRUE(w.backend.start().is_ok());
   auto cfg = w.board_config(/*secure=*/false);
   cfg.xalloc_capacity = 3 * 64;  // three sessions per boot (§5.2: no free)
-  cfg.session_xalloc_bytes = 64;
+  cfg.redirector.session_xalloc_bytes = 64;
   services::ServiceBoard board(w.net, cfg);
 
   for (int i = 0; i < 3; ++i) {
@@ -468,6 +465,24 @@ TEST(ServiceBoardTest, XallocExhaustionTriggersControlledRestart) {
   ASSERT_TRUE(w.echo_once(board, false, "fresh arena", 0x4004));
   EXPECT_GE(board.redirector()->durable_state().served, served_before);
   EXPECT_EQ(board.redirector()->durable_state().generation, 2u);
+}
+
+TEST(ServiceBoardTest, RedirectorSessionXallocBytesTakesEffect) {
+  // The per-session charge is set once, on the redirector config the board
+  // hands to every boot: a one-session arena runs dry on the second
+  // session and the board restarts to reclaim it.
+  FaultWorld w;
+  ASSERT_TRUE(w.backend.start().is_ok());
+  auto cfg = w.board_config(/*secure=*/false);
+  cfg.xalloc_capacity = 64;
+  cfg.redirector.session_xalloc_bytes = 64;
+  services::ServiceBoard board(w.net, cfg);
+
+  ASSERT_TRUE(w.echo_once(board, false, "one session fits", 0x4100));
+  (void)w.echo_once(board, false, "the second does not", 0x4101);
+  w.drive(board, nullptr, 40);
+  EXPECT_EQ(board.xalloc_restarts(), 1u);
+  EXPECT_EQ(board.last_fault(), services::FaultKind::kXallocExhausted);
 }
 
 TEST(ServiceBoardTest, SeededRandomCutSoakRecoversEveryTime) {
@@ -493,48 +508,35 @@ TEST(ServiceBoardTest, SeededRandomCutSoakRecoversEveryTime) {
   EXPECT_GE(board.redirector()->durable_state().served, served_ok);
 }
 
-TEST(ServiceBoardTest, ResetCauseTelemetryNamesEachCauseWhenOptedIn) {
-  // Off by default: a wedge must not create per-cause counters (the E10/E15
-  // byte-identity gates depend on that).
-  ASSERT_FALSE(services::reset_cause_telemetry());
-  {
-    FaultWorld w;
-    ASSERT_TRUE(w.backend.start().is_ok());
-    services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
-    board.wedge_for_ms(600);
-    w.drive(board, nullptr, 700);
-    ASSERT_EQ(board.wdt_bites(), 1u);
-    EXPECT_EQ(telemetry::Registry::global().find_counter(
-                  "board.resets.watchdog"),
-              nullptr);
-  }
+TEST(ServiceBoardTest, ResetCauseTelemetryNamesEachCause) {
+  // No setup: a watchdog bite lands its named counter. Distinct causes get
+  // distinct counters, so the bite leaves board.resets.xalloc as it was
+  // (absent, unless an earlier test in this process restarted on xalloc).
+  auto& registry = telemetry::Registry::global();
+  const auto* xalloc_before = registry.find_counter("board.resets.xalloc");
+  const u64 xalloc_count = xalloc_before ? xalloc_before->value() : 0;
 
-  // Opted in: the same fault now lands a named counter AND a battery-log
-  // line, so E16 can assert "zero alloc-caused restarts" by name.
-  services::set_reset_cause_telemetry(true);
-  {
-    FaultWorld w;
-    ASSERT_TRUE(w.backend.start().is_ok());
-    services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
-    board.wedge_for_ms(600);
-    w.drive(board, nullptr, 700);
-    ASSERT_EQ(board.wdt_bites(), 1u);
-    const auto* named =
-        telemetry::Registry::global().find_counter("board.resets.watchdog");
-    ASSERT_NE(named, nullptr);
-    EXPECT_GE(named->value(), 1u);
-    // Distinct causes get distinct counters: no xalloc restart happened, so
-    // its counter must not even exist.
-    EXPECT_EQ(telemetry::Registry::global().find_counter(
-                  "board.resets.xalloc"),
-              nullptr);
-    bool saw_cause_line = false;
-    for (const auto& line : board.battery().log.entries()) {
-      if (line == "reset-cause watchdog") saw_cause_line = true;
-    }
-    EXPECT_TRUE(saw_cause_line);
+  FaultWorld w;
+  ASSERT_TRUE(w.backend.start().is_ok());
+  services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
+  board.wedge_for_ms(600);
+  w.drive(board, nullptr, 700);
+  ASSERT_EQ(board.wdt_bites(), 1u);
+
+  const auto* named = registry.find_counter("board.resets.watchdog");
+  ASSERT_NE(named, nullptr);
+#if RMC_TELEMETRY_ENABLED
+  EXPECT_GE(named->value(), 1u);
+#endif
+  const auto* xalloc = registry.find_counter("board.resets.xalloc");
+  EXPECT_EQ(xalloc, xalloc_before);
+  if (xalloc != nullptr) {
+    EXPECT_EQ(xalloc->value(), xalloc_count);
   }
-  services::set_reset_cause_telemetry(false);
+  // The cause is a counter only: the battery log gets no line for it.
+  for (const auto& line : board.battery().log.entries()) {
+    EXPECT_NE(line.rfind("reset-cause", 0), 0u) << line;
+  }
 }
 
 }  // namespace

@@ -20,10 +20,7 @@ constexpr IpAddr kClientIp = 3;
 constexpr Port kTlsPort = 4433;
 constexpr Port kBackendPort = 8000;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 // A world with a redirector host, a backend host, and one client host.
 struct World {

@@ -289,10 +289,7 @@ constexpr net::IpAddr kClientIp = 3;
 constexpr net::Port kTlsPort = 4433;
 constexpr net::Port kBackendPort = 8000;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 struct SlabWorld {
   net::SimNet net{777};

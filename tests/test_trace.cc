@@ -29,10 +29,7 @@ using telemetry::TraceEvent;
 using telemetry::TraceLayer;
 using telemetry::Tracer;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 /// Tracer::global() is process-wide state shared by every test in this
 /// binary; scope enablement so one test's capture never leaks into the next.

@@ -21,10 +21,7 @@ constexpr IpAddr kBackendHost = 3;
 constexpr IpAddr kClientHost = 4;
 constexpr IpAddr kNoiseHost = 5;
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using common::bytes_of;
 
 TEST(World, TwoGenerationsOfServiceUnderLossAndNoise) {
   net::SimNet medium(0xD47E2003);
