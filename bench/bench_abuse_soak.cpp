@@ -31,14 +31,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "abuse/fuzz.h"
 #include "abuse/hostile.h"
 #include "bench_util.h"
-#include "services/redirector.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -46,10 +45,9 @@ using common::u8;
 
 namespace {
 
-using common::bytes_of;
-
 using abuse::Behavior;
 using AttackOpts = abuse::HostileClient::Options;
+using State = bench::ChunkedEcho::State;
 
 AttackOpts attack(Behavior b, int rounds) {
   AttackOpts o;
@@ -154,10 +152,6 @@ struct AbuseResult {
   bool gates_ok = false;
 };
 
-u64 registry_value(const char* name) {
-  return telemetry::Registry::global().counter(name).value();
-}
-
 u64 count_service_events(std::size_t from, u8 event) {
   const auto& ev = telemetry::Tracer::global().events();
   u64 n = 0;
@@ -172,63 +166,45 @@ u64 count_service_events(std::size_t from, u8 event) {
 
 AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
                          std::size_t payload_bytes, u64 max_ms) {
-  net::SimNet medium(seed);
-  net::TcpStack board(medium, 1);
+  bench::SoakWorld world(seed);
+  net::TcpStack& board = world.add_board_stack();
+  net::TcpStack& attacker_host = world.add_attacker_host();
   // The abuse-facing profile: embryos from spoofed SYNs die after 2 s
   // instead of holding backlog slots for the full ~19 s retx horizon.
   board.set_syn_rcvd_timeout_ms(2'000);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
 
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e15");
-  cfg.handler_slots = 3;
+  services::RedirectorConfig cfg = bench::service_config("e15");
   cfg.shed_when_busy = true;
   cfg.handshake_timeout_ms = 2'500;  // tight: abuse must die fast
   cfg.idle_timeout_ms = 8'000;
   cfg.tls.resumption = true;
   cfg.session_cache_capacity = 16;
-  services::RmcRedirector red(board, medium, cfg);
+  services::RmcRedirector red(board, world.medium, cfg);
   AbuseResult r;
   if (!red.start().is_ok()) return r;
 
-  const u64 malformed_before = registry_value("issl.malformed_records");
-  const u64 rejects_before = registry_value("issl.resumption_rejects");
-  const u64 mac_before = registry_value("issl.mac_failures");
+  const bench::CounterDelta malformed("issl.malformed_records");
+  const bench::CounterDelta rejects("issl.resumption_rejects");
+  const bench::CounterDelta mac_failures("issl.mac_failures");
   const std::size_t trace_before = telemetry::Tracer::global().events().size();
 
-  std::vector<u8> payload(payload_bytes);
-  common::Xorshift64 fill(seed ^ 0xE15E15);
-  fill.fill(payload);
+  const std::vector<u8> payload =
+      bench::random_payload(payload_bytes, seed ^ 0xE15E15);
   constexpr std::size_t kChunk = 512;
   constexpr int kMaxAttempts = 5;
 
-  issl::Config legit_tls = issl::Config::embedded_port();
-  legit_tls.resumption = true;
-
   struct Legit {
-    std::unique_ptr<services::Client> c;
-    std::size_t sent = 0;
+    bench::ChunkedEcho echo;
     int attempts = 1;
-    int state = 0;  // 0 live, 1 completed, 2 failed for good
+    State state = State::kLive;  // kFailed only once out of attempts
     u64 retry_at = 0;  // backoff deadline before the next redial
   };
-  std::vector<Legit> legit(static_cast<std::size_t>(offered));
+  std::vector<Legit> legit;
   for (int i = 0; i < offered; ++i) {
-    auto& L = legit[static_cast<std::size_t>(i)];
-    L.c = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, legit_tls, bytes_of("e15"),
-        seed * 977 + static_cast<u64>(i) * 131);
-    (void)L.c->start();
-    const std::size_t first = std::min(kChunk, payload_bytes);
-    (void)L.c->send(std::span<const u8>(payload.data(), first));
-    L.sent = first;
+    legit.push_back({bench::ChunkedEcho(
+        world.client(cfg, seed * 977 + static_cast<u64>(i) * 131), payload,
+        kChunk)});
+    legit.back().echo.start();
   }
 
   std::vector<std::unique_ptr<abuse::HostileClient>> attackers;
@@ -238,15 +214,15 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
     // busy/idle cycle instead of all dying into a full house at t=0.
     o.reconnect_delay_polls = 25 + 35 * i;
     attackers.push_back(std::make_unique<abuse::HostileClient>(
-        attacker_host, medium, 1, 4433, seed * 13 + i * 101 + 7, o));
+        attacker_host, world.medium, bench::kBoardIp, cfg.listen_port,
+        seed * 13 + i * 101 + 7, o));
   }
 
   u64 t = 0;
   for (; t < max_ms; ++t) {
     bool all_settled = true;
     for (auto& L : legit) {
-      if (L.state != 0) continue;
-      services::Client& c = *L.c;
+      if (L.state != State::kLive) continue;
       // Backing off after a shed: don't redial into the same storm.
       if (L.retry_at > t) {
         all_settled = false;
@@ -254,20 +230,17 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
       }
       if (L.retry_at != 0 && L.retry_at <= t) {
         L.retry_at = 0;
-        (void)c.reconnect();
-        const std::size_t first = std::min(kChunk, payload_bytes);
-        (void)c.send(std::span<const u8>(payload.data(), first));
-        L.sent = first;
+        L.echo.redial();
         all_settled = false;
         continue;
       }
-      const bool alive = c.poll();
-      if (c.received().size() >= payload_bytes) {
-        L.state = 1;
-        c.close();
+      const State step = L.echo.poll();
+      if (step == State::kDone) {
+        L.state = State::kDone;
+        L.echo.client().close();
         continue;
       }
-      if (!alive || c.failed()) {
+      if (step == State::kFailed) {
         // Shed or killed — a real client retries (bounded, with linear
         // backoff so the retry lands after the storm), and the retry
         // offers the earned ticket, so recovery rides the abbreviated
@@ -278,14 +251,9 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
           L.retry_at = t + 400 * static_cast<u64>(L.attempts);
           all_settled = false;
         } else {
-          L.state = 2;
+          L.state = State::kFailed;
         }
         continue;
-      }
-      if (c.received().size() >= L.sent && L.sent < payload_bytes) {
-        const std::size_t n = std::min(kChunk, payload_bytes - L.sent);
-        (void)c.send(std::span<const u8>(payload.data() + L.sent, n));
-        L.sent += n;
       }
       all_settled = false;
     }
@@ -294,8 +262,8 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
       if (a->poll()) attackers_done = false;
     }
     red.poll();
-    backend.poll();
-    medium.tick(1);
+    world.backend.poll();
+    world.medium.tick(1);
     if (all_settled && attackers_done) {
       r.attackers_done = true;
       break;
@@ -308,22 +276,19 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
         [](const auto& a) { return a->done(); });
   }
 
+  // The zero-corruption invariant covers partial transfers too: whatever
+  // came back must be a prefix of what was sent, completed or not.
+  bench::EchoAudit audit;
   for (auto& L : legit) {
-    if (L.state == 0) ++r.stuck;
-    if (L.state == 2) ++r.failed;
-    services::Client& c = *L.c;
-    // The zero-corruption invariant covers partial transfers too: whatever
-    // came back must be a prefix of what was sent, completed or not.
-    const std::size_t n = std::min(c.received().size(), payload.size());
-    if (!std::equal(c.received().begin(),
-                    c.received().begin() + static_cast<long>(n),
-                    payload.begin())) {
-      ++r.corrupt_echoes;
-      continue;
+    if (L.state == State::kLive) ++r.stuck;
+    if (L.state == State::kFailed) ++r.failed;
+    if (audit.add(L.echo.client().received(), payload) &&
+        L.state == State::kDone) {
+      ++r.completed;
     }
-    r.bytes_echoed += c.received().size();
-    if (L.state == 1) ++r.completed;
   }
+  r.corrupt_echoes = audit.corrupt;
+  r.bytes_echoed = audit.bytes_echoed;
 
   for (auto& a : attackers) {
     r.atk_conns += a->stats().conns_attempted;
@@ -344,11 +309,9 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
   r.trace_hs_timeouts = count_service_events(
       trace_before, telemetry::ServiceTrace::kHsTimeout);
 
-  r.malformed_records =
-      registry_value("issl.malformed_records") - malformed_before;
-  r.resumption_rejects =
-      registry_value("issl.resumption_rejects") - rejects_before;
-  r.mac_failures = registry_value("issl.mac_failures") - mac_before;
+  r.malformed_records = malformed.value();
+  r.resumption_rejects = rejects.value();
+  r.mac_failures = mac_failures.value();
   r.syn_backlog_drops = board.syn_backlog_drops();
   r.embryonic_timeouts = board.embryonic_timeouts();
   r.half_open_left = board.half_open_count();
@@ -379,40 +342,25 @@ struct PoisonResult {
 // server), then have the same clients resume against it.
 PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
                               u64 max_ms) {
-  net::SimNet medium(seed);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e15");
-  cfg.handler_slots = 3;
+  bench::SoakWorld world(seed);
+  services::RedirectorConfig cfg = bench::service_config("e15");
   cfg.handshake_timeout_ms = 2'500;
   cfg.idle_timeout_ms = 8'000;
   cfg.tls.resumption = true;
   cfg.session_cache_capacity = 16;
-  services::RmcRedirector red(board, medium, cfg);
+  services::RmcRedirector red(world.add_board_stack(), world.medium, cfg);
   PoisonResult r;
   if (!red.start().is_ok()) return r;
-  const u64 rejects_before = registry_value("issl.resumption_rejects");
+  const bench::CounterDelta rejects("issl.resumption_rejects");
 
-  std::vector<u8> payload(payload_bytes);
-  common::Xorshift64 fill(seed ^ 0xCACE);
-  fill.fill(payload);
+  const std::vector<u8> payload =
+      bench::random_payload(payload_bytes, seed ^ 0xCACE);
 
-  issl::Config legit_tls = issl::Config::embedded_port();
-  legit_tls.resumption = true;
   constexpr int kClients = 2;
   std::vector<std::unique_ptr<services::Client>> clients;
   for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, legit_tls, bytes_of("e15"),
-        seed * 331 + static_cast<u64>(i) * 17));
+    clients.push_back(
+        world.client(cfg, seed * 331 + static_cast<u64>(i) * 17));
     (void)clients.back()->start();
     (void)clients.back()->send(payload);
   }
@@ -425,8 +373,8 @@ PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
         if (!settled(*c)) done = false;
       }
       red.poll();
-      backend.poll();
-      medium.tick(1);
+      world.backend.poll();
+      world.medium.tick(1);
       if (done) return true;
     }
     return false;
@@ -466,8 +414,7 @@ PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
   }
 
   r.integrity_rejects = red.session_cache().integrity_rejects();
-  r.registry_rejects =
-      registry_value("issl.resumption_rejects") - rejects_before;
+  r.registry_rejects = rejects.value();
   // Gates: the poisoned offers were refused (one reject per tampered entry
   // offered), nobody completed an abbreviated handshake off a corrupt
   // secret, and every client still got service via the full-handshake

@@ -27,13 +27,11 @@
 // status is 1 on any consistency violation or half-open session.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "services/supervisor.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -41,7 +39,7 @@ using common::u8;
 
 namespace {
 
-using common::bytes_of;
+using State = bench::ChunkedEcho::State;
 
 enum class Death { kWedge, kPowerCut, kXalloc };
 
@@ -65,30 +63,11 @@ struct CrashResult {
   u64 postmortem_lines = 0;
 };
 
-struct LiveClient {
-  std::unique_ptr<services::Client> client;
-  std::size_t sent = 0;
-};
-
 CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
-  net::SimNet medium(seed);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e10");
-  cfg.redirector.handler_slots = 3;
-  cfg.board_ip = 1;
+  bench::SoakWorld world(seed);
+  services::ServiceBoardConfig cfg = bench::board_config("e10");
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
-  cfg.power_off_ms = 50;
-  cfg.reboot_ms = 2;
   if (death == Death::kPowerCut) {
     // Gaps are fault points, not ms: each durable commit contributes three,
     // every main-loop pass one. Most random cuts land between commits; the
@@ -103,35 +82,28 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
     cfg.redirector.session_xalloc_bytes = 96;
     cfg.xalloc_capacity = 32 * 96;  // 32 sessions, then the arena is spent
   }
-  services::ServiceBoard board(medium, cfg);
+  services::ServiceBoard board(world.medium, cfg);
 
   const std::size_t kPayload = 1'024;
   const std::size_t kChunk = 256;
-  std::vector<u8> payload(kPayload);
-  common::Xorshift64 fill(seed ^ 0xE10E10);
-  fill.fill(payload);
+  const std::vector<u8> payload =
+      bench::random_payload(kPayload, seed ^ 0xE10E10);
 
   CrashResult r;
-  std::vector<LiveClient> live;
+  std::vector<bench::ChunkedEcho> live;
   u64 spawned = 0;
   constexpr std::size_t kConcurrency = 2;
 
   auto spawn = [&]() {
-    LiveClient lc;
-    lc.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e10"), seed * 977 + ++spawned);
     // Without a read timeout a client whose handshake or final echo was
     // severed with nothing left in flight would wait forever: TCP only
     // notices a dead peer when it has something to retransmit. 25 s sits
     // above the retransmit give-up horizon (~20 s), so it only fires for
     // the genuinely-silent case.
-    lc.client->set_idle_give_up(25'000);
-    (void)lc.client->start();
-    const std::size_t first = std::min(kChunk, kPayload);
-    (void)lc.client->send(std::span<const u8>(payload.data(), first));
-    lc.sent = first;
-    live.push_back(std::move(lc));
+    live.emplace_back(world.client(cfg.redirector, seed * 977 + ++spawned,
+                                   25'000),
+                      payload, kChunk);
+    live.back().start();
   };
 
   // Durable-consistency observer: the last in-RAM bookkeeping glimpsed
@@ -175,30 +147,23 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
       was_up = false;
     }
 
-    backend.poll();
+    world.backend.poll();
     for (std::size_t i = 0; i < live.size();) {
-      services::Client& c = *live[i].client;
-      const bool alive = c.poll();
-      if (c.received().size() >= kPayload) {
+      const auto step = live[i].poll();
+      if (step == State::kLive) {
+        ++i;
+        continue;
+      }
+      if (step == State::kDone) {
         ++r.completed;
-        c.close();
-        live.erase(live.begin() + static_cast<long>(i));
-        continue;
-      }
-      if (!alive || c.failed()) {
+        live[i].client().close();
+      } else {
         ++r.failed;
-        live.erase(live.begin() + static_cast<long>(i));
-        continue;
       }
-      if (c.received().size() >= live[i].sent && live[i].sent < kPayload) {
-        const std::size_t n = std::min(kChunk, kPayload - live[i].sent);
-        (void)c.send(std::span<const u8>(payload.data() + live[i].sent, n));
-        live[i].sent += n;
-      }
-      ++i;
+      live.erase(live.begin() + static_cast<long>(i));
     }
 
-    medium.tick(1);
+    world.medium.tick(1);
     if (t >= spawn_until && live.empty()) break;  // all settled, no new work
   }
   r.elapsed_ms = t;

@@ -21,13 +21,11 @@
 // terminator's trusted-LAN assumption, measured.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "services/redirector.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -35,7 +33,7 @@ using common::u8;
 
 namespace {
 
-using common::bytes_of;
+using State = bench::ChunkedEcho::State;
 
 struct Scenario {
   std::string name;
@@ -100,33 +98,19 @@ struct SoakResult {
 
 SoakResult run_scenario(u64 seed, const net::FaultPlan& plan, int offered,
                         std::size_t payload_bytes, u64 max_ms) {
-  net::SimNet medium(seed);
-  medium.set_fault_plan(plan);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e9");
-  cfg.handler_slots = 3;
+  bench::SoakWorld world(seed, plan);
+  services::RedirectorConfig cfg = bench::service_config("e9");
   cfg.shed_when_busy = true;  // the observable degradation past the ceiling
   cfg.handshake_timeout_ms = 8'000;
   cfg.idle_timeout_ms = 10'000;
-  services::RmcRedirector red(board, medium, cfg);
+  services::RmcRedirector red(world.add_board_stack(), world.medium, cfg);
   SoakResult r;
   if (!red.start().is_ok()) return r;
 
-  const u64 mac_before =
-      telemetry::Registry::global().counter("issl.mac_failures").value();
+  const bench::CounterDelta mac_failures("issl.mac_failures");
 
-  std::vector<u8> payload(payload_bytes);
-  common::Xorshift64 fill(seed ^ 0xE9E9);
-  fill.fill(payload);
+  const std::vector<u8> payload =
+      bench::random_payload(payload_bytes, seed ^ 0xE9E9);
 
   // The payload travels in 512-byte chunks, one issl record per chunk, the
   // next sent only after the previous echoed back. One corrupted record
@@ -134,91 +118,68 @@ SoakResult run_scenario(u64 seed, const net::FaultPlan& plan, int offered,
   // instead of silently deciding the whole scenario — partial delivery is
   // exactly the graceful-degradation signal E9 measures.
   constexpr std::size_t kChunk = 512;
-  std::vector<std::unique_ptr<services::Client>> clients;
-  std::vector<std::size_t> sent(static_cast<std::size_t>(offered), 0);
+  struct Session {
+    bench::ChunkedEcho echo;
+    State state = State::kLive;
+    u64 settle_ms = 0;
+    bool hs_seen = false;
+  };
+  std::vector<Session> sessions;
   for (int i = 0; i < offered; ++i) {
-    clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e9"), seed * 977 + static_cast<u64>(i)));
-    (void)clients.back()->start();
-    const std::size_t first = std::min(kChunk, payload_bytes);
-    (void)clients.back()->send(
-        std::span<const u8>(payload.data(), first));
-    sent[static_cast<std::size_t>(i)] = first;
+    sessions.push_back({bench::ChunkedEcho(
+        world.client(cfg, seed * 977 + static_cast<u64>(i)), payload, kChunk)});
+    sessions.back().echo.start();
   }
-  std::vector<int> state(static_cast<std::size_t>(offered), 0);  // 0 live
-  std::vector<u64> settle_ms(static_cast<std::size_t>(offered), 0);
-  std::vector<bool> hs_seen(static_cast<std::size_t>(offered), false);
 
   u64 t = 0;
   for (; t < max_ms; ++t) {
     bool all_settled = true;
-    for (int i = 0; i < offered; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (state[idx] != 0) continue;
-      services::Client& c = *clients[idx];
-      const bool alive = c.poll();
-      if (c.handshake_done()) hs_seen[idx] = true;
-      if (c.received().size() >= payload_bytes) {
-        state[idx] = 1;
-        settle_ms[idx] = t;
-        c.close();
-      } else if (!alive || c.failed()) {
-        state[idx] = 2;
-        settle_ms[idx] = t;
-      } else {
-        if (c.received().size() >= sent[idx] && sent[idx] < payload_bytes) {
-          const std::size_t n = std::min(kChunk, payload_bytes - sent[idx]);
-          (void)c.send(std::span<const u8>(payload.data() + sent[idx], n));
-          sent[idx] += n;
-        }
+    for (Session& s : sessions) {
+      if (s.state != State::kLive) continue;
+      s.state = s.echo.poll();
+      if (s.echo.client().handshake_done()) s.hs_seen = true;
+      if (s.state == State::kLive) {
         all_settled = false;
+        continue;
       }
+      s.settle_ms = t;
+      if (s.state == State::kDone) s.echo.client().close();
     }
     red.poll();
-    backend.poll();
-    medium.tick(1);
+    world.backend.poll();
+    world.medium.tick(1);
     if (all_settled) break;
   }
   r.elapsed_ms = t;
 
-  for (int i = 0; i < offered; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    services::Client& c = *clients[idx];
-    if (state[idx] == 0) ++r.stuck;
-    if (state[idx] == 2) ++r.failed;
-    if (hs_seen[idx]) ++r.handshakes_ok;
-    const std::size_t n = std::min(c.received().size(), payload.size());
-    if (!std::equal(c.received().begin(), c.received().begin() +
-                        static_cast<long>(n), payload.begin())) {
-      ++r.plaintext_leg_corruptions;
-      continue;
-    }
-    r.bytes_echoed += c.received().size();
-    if (state[idx] == 1) {
+  bench::EchoAudit audit;
+  for (Session& s : sessions) {
+    if (s.state == State::kLive) ++r.stuck;
+    if (s.state == State::kFailed) ++r.failed;
+    if (s.hs_seen) ++r.handshakes_ok;
+    if (audit.add(s.echo.client().received(), payload) &&
+        s.state == State::kDone) {
       ++r.completed;
-      r.worst_completion_ms = std::max(r.worst_completion_ms, settle_ms[idx]);
+      r.worst_completion_ms = std::max(r.worst_completion_ms, s.settle_ms);
     }
   }
+  r.plaintext_leg_corruptions = audit.corrupt;
+  r.bytes_echoed = audit.bytes_echoed;
   r.svc_bytes = red.stats().bytes_client_to_backend +
                 red.stats().bytes_backend_to_client;
 
-  r.retransmissions = board.retransmissions() + client_host.retransmissions() +
-                      backend_host.retransmissions();
-  r.retx_giveups = board.retx_giveups() + client_host.retx_giveups() +
-                   backend_host.retx_giveups();
-  r.mac_failures =
-      telemetry::Registry::global().counter("issl.mac_failures").value() -
-      mac_before;
+  r.retransmissions = world.retransmissions();
+  r.retx_giveups = world.retx_giveups();
+  r.mac_failures = mac_failures.value();
   r.hs_failures = red.stats().handshake_failures;
   r.hs_timeouts = red.stats().handshake_timeouts;
   r.backend_retries = red.stats().backend_retries;
   r.shed = red.stats().connections_shed;
   r.watchdogs = red.stats().watchdog_aborts;
-  r.drops_loss = medium.drops_loss();
-  r.drops_partition = medium.drops_partition();
-  r.corrupted = medium.segments_corrupted();
-  r.duplicated = medium.segments_duplicated();
+  r.drops_loss = world.medium.drops_loss();
+  r.drops_partition = world.medium.drops_partition();
+  r.corrupted = world.medium.segments_corrupted();
+  r.duplicated = world.medium.segments_duplicated();
   return r;
 }
 
@@ -239,7 +200,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(max_ms));
   std::puts("================================================================\n");
   std::printf("%-16s %4s %4s %5s %6s %9s %6s %5s %5s %5s %5s %5s\n",
-              "scenario", "done", "fail", "stuck", "hs-ok", "goodput",
+              "scenario", "done", "fail", "stuck", "hs-ok", "B/virt-ms",
               "retx", "mac", "shed", "wdog", "b-rty", "drop");
 
   bench::JsonReport report("E9");
@@ -252,14 +213,14 @@ int main(int argc, char** argv) {
     // Goodput: application bytes the service moved per virtual ms. The
     // redirector's job is forwarding, so this counts both directions at the
     // service; end-to-end verified echo bytes are reported separately.
-    const double goodput_kbps =
+    const double goodput =
         r.elapsed_ms == 0
             ? 0.0
             : static_cast<double>(r.svc_bytes) /
                   static_cast<double>(r.elapsed_ms);
-    std::printf("%-16s %4d %4d %5d %6d %7.2f/s %6llu %5llu %5llu %5llu %5llu %5llu\n",
+    std::printf("%-16s %4d %4d %5d %6d %9.2f %6llu %5llu %5llu %5llu %5llu %5llu\n",
                 s.name.c_str(), r.completed, r.failed, r.stuck,
-                r.handshakes_ok, goodput_kbps,
+                r.handshakes_ok, goodput,
                 static_cast<unsigned long long>(r.retransmissions),
                 static_cast<unsigned long long>(r.mac_failures),
                 static_cast<unsigned long long>(r.shed),
@@ -280,7 +241,7 @@ int main(int argc, char** argv) {
     report.result(k + "bytes_forwarded", r.svc_bytes);
     report.result(k + "elapsed_ms", r.elapsed_ms);
     report.result(k + "worst_completion_ms", r.worst_completion_ms);
-    report.result(k + "goodput_bytes_per_ms", goodput_kbps);
+    report.result(k + "goodput_bytes_per_ms", goodput);
     report.result(k + "retransmissions", r.retransmissions);
     report.result(k + "retx_giveups", r.retx_giveups);
     report.result(k + "mac_failures", r.mac_failures);
@@ -295,8 +256,8 @@ int main(int argc, char** argv) {
     report.result(k + "segments_duplicated", r.duplicated);
   }
 
-  std::printf("\ngoodput is application bytes forwarded by the service per"
-              " virtual ms;\nmac = record MAC failures (each poisons its session);"
+  std::printf("\nB/virt-ms is goodput: application bytes forwarded by the"
+              " service per virtual ms;\nmac = record MAC failures (each poisons its session);"
               " shed/wdog/b-rty are\nthe redirector's explicit degradation"
               " paths. Zero 'stuck' clients means\nevery connection either"
               " completed or failed closed -- no hangs.\n");

@@ -49,7 +49,7 @@
 #include "bench_util.h"
 #include "dynk/allocfault.h"
 #include "dynk/slab.h"
-#include "services/supervisor.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -60,8 +60,6 @@ using dynk::SlabConfig;
 using dynk::SlabHandle;
 
 namespace {
-
-using common::bytes_of;
 
 // The redirector's per-connection recipe (redirector.cc alloc_conn), sized
 // for a given TLS shape. Kept in one place so the in-vitro phase replays
@@ -190,7 +188,6 @@ ChurnResult run_churn(u64 seed, u64 cycles, bool quarantine,
                           static_cast<double>(r.peak_live_bytes)
                     : 0.0;
   r.internal_frag = slab.internal_fragmentation();
-  r.failed += 0;  // (injected failures impossible here: no monitor attached)
   return r;
 }
 
@@ -211,30 +208,20 @@ struct ServiceResult {
 };
 
 services::ServiceBoardConfig board_config(std::size_t budget_bytes) {
-  services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e16-psk");
-  cfg.redirector.tls = issl::Config::embedded_port();
+  services::ServiceBoardConfig cfg = bench::board_config("e16-psk");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
   cfg.redirector.shed_when_busy = true;
-  cfg.board_ip = 1;
   cfg.allocator = dynk::AllocatorKind::kSlab;
   cfg.xalloc_capacity = budget_bytes;
   return cfg;
 }
 
 ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
-  net::SimNet medium(seed);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
-  services::EchoBackend backend(backend_host, 8000);
-  if (!backend.start().is_ok()) return {};
-  services::ServiceBoard board(medium, board_config(budget_bytes));
+  bench::SoakWorld world(seed);
+  net::TcpStack& attacker_host = world.add_attacker_host();
+  const services::ServiceBoardConfig cfg = board_config(budget_bytes);
+  services::ServiceBoard board(world.medium, cfg);
 
   // Abuse peers from the E15 harness churn alongside the honest client:
   // abandoned handshakes and resumption-thrash are exactly the traffic that
@@ -245,60 +232,46 @@ ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
   abuse::HostileClient::Options ro;
   ro.behavior = abuse::Behavior::kResumptionThrash;
   ro.rounds = static_cast<int>(std::min<u64>(sessions, 200));
-  abuse::HostileClient mid(attacker_host, medium, 1, 4433, seed * 31 + 1, mo);
-  abuse::HostileClient thrash(attacker_host, medium, 1, 4433, seed * 31 + 2,
-                              ro);
+  abuse::HostileClient mid(attacker_host, world.medium, bench::kBoardIp,
+                           cfg.redirector.listen_port, seed * 31 + 1, mo);
+  abuse::HostileClient thrash(attacker_host, world.medium, bench::kBoardIp,
+                              cfg.redirector.listen_port, seed * 31 + 2, ro);
 
   ServiceResult r;
-  const auto msg = bytes_of("memory churn soak");
-  services::Client client(client_host, 1, 4433, true,
-                          board_config(budget_bytes).redirector.tls,
-                          bytes_of("e16-psk"), seed * 977 + 5);
-  client.set_idle_give_up(25'000);
-  bool first = true;
+  const auto msg = common::bytes_of("memory churn soak");
+  const auto client = world.client(cfg.redirector, seed * 977 + 5, 25'000);
+  // One virtual ms of the world; true while an attacker still has rounds.
+  const auto step = [&] {
+    board.poll();
+    world.backend.poll();
+    (void)client->poll();
+    const bool mid_busy = mid.poll();
+    const bool thrash_busy = thrash.poll();
+    world.medium.tick(1);
+    return mid_busy || thrash_busy;
+  };
   u64 t = 0;
   for (u64 s2 = 0; s2 < sessions; ++s2) {
-    bool started;
-    if (first) {
-      started = client.start().is_ok();
-      first = false;
-    } else {
-      started = client.reconnect().is_ok();  // offers the earned ticket
-    }
-    if (!started || !client.send(msg).is_ok()) {
+    // Every session after the first reconnects, offering the earned ticket.
+    const bool started =
+        (s2 == 0 ? client->start() : client->reconnect()).is_ok();
+    if (!started || !client->send(msg).is_ok()) {
       ++r.failed;
       continue;
     }
-    const std::size_t want = client.received().size() + msg.size();
-    bool done = false;
-    for (u64 i = 0; i < 3'000 && !done; ++i, ++t) {
-      board.poll();
-      backend.poll();
-      (void)client.poll();
-      (void)mid.poll();
-      (void)thrash.poll();
-      medium.tick(1);
-      if (client.received().size() >= want) done = true;
-      if (client.failed()) break;
-    }
-    if (done) {
+    const std::size_t want = client->received().size() + msg.size();
+    if (bench::run_session(*client, want, 3'000, t, step)) {
       ++r.served;
-      if (client.resumed()) ++r.resumed;
+      if (client->resumed()) ++r.resumed;
     } else {
       ++r.failed;
     }
   }
-  client.close();
+  client->close();
   // Drain: let the attackers finish their rounds and every slot close, so
   // the end-of-soak live-bytes audit sees the idle steady state.
   for (u64 i = 0; i < 8'000; ++i, ++t) {
-    board.poll();
-    backend.poll();
-    (void)client.poll();
-    const bool a = mid.poll();
-    const bool b = thrash.poll();
-    medium.tick(1);
-    if (!a && !b && board.redirector() &&
+    if (!step() && board.redirector() &&
         board.redirector()->stats().connections_active == 0 && i > 400) {
       break;
     }
@@ -334,12 +307,7 @@ struct FaultResult {
 };
 
 FaultResult run_faults(u64 seed, u64 sessions, std::size_t budget_bytes) {
-  net::SimNet medium(seed ^ 0xFA17);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  if (!backend.start().is_ok()) return {};
-
+  bench::SoakWorld world(seed ^ 0xFA17);
   auto cfg = board_config(budget_bytes);
   cfg.redirector.secure = false;  // the memory path is what's under test
   cfg.redirector.tls.resumption = false;
@@ -353,33 +321,23 @@ FaultResult run_faults(u64 seed, u64 sessions, std::size_t budget_bytes) {
   plan.failures.insert(plan.failures.end(), tail.failures.begin(),
                        tail.failures.end());
   cfg.alloc_fault_plan = plan;
-  services::ServiceBoard board(medium, cfg);
+  services::ServiceBoard board(world.medium, cfg);
 
   FaultResult r;
-  const auto msg = bytes_of("fault probe");
+  const auto msg = common::bytes_of("fault probe");
   u64 t = 0;
   for (u64 s2 = 0; s2 < sessions; ++s2) {
-    services::Client c(client_host, 1, 4433, false,
-                       issl::Config::embedded_port(), {}, seed * 131 + s2);
-    c.set_idle_give_up(2'000);
-    if (!c.start().is_ok() || !c.send(msg).is_ok()) continue;
-    bool done = false;
-    for (u64 i = 0; i < 2'500 && !done; ++i, ++t) {
+    const auto c = world.client(cfg.redirector, seed * 131 + s2, 2'000);
+    if (!c->start().is_ok() || !c->send(msg).is_ok()) continue;
+    const auto step = [&] {
       board.poll();
-      backend.poll();
-      (void)c.poll();
-      medium.tick(1);
-      if (c.received().size() >= msg.size()) done = true;
-      if (c.failed()) break;
-    }
-    if (done) ++r.served;
-    c.close();
-    for (u64 i = 0; i < 60; ++i, ++t) {
-      board.poll();
-      backend.poll();
-      (void)c.poll();
-      medium.tick(1);
-    }
+      world.backend.poll();
+      (void)c->poll();
+      world.medium.tick(1);
+    };
+    if (bench::run_session(*c, msg.size(), 2'500, t, step)) ++r.served;
+    c->close();
+    for (u64 i = 0; i < 60; ++i, ++t) step();
   }
 
   r.resets = board.resets();

@@ -29,13 +29,12 @@
 // Exit status is 1 if any gate fails.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <span>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "services/supervisor.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -43,7 +42,7 @@ using common::u8;
 
 namespace {
 
-using common::bytes_of;
+using State = bench::ChunkedEcho::State;
 
 // Timeline. Two clocks are in play: the harness loop count, and the
 // medium's virtual clock — which runs at ~2 ms per loop pass while the
@@ -121,49 +120,30 @@ struct Outcome {
 };
 
 struct Worker {
-  std::unique_ptr<services::Client> client;
-  std::size_t want = 0;        // received() size that completes the cycle
+  std::optional<bench::ChunkedEcho> echo;  // empty until (re)spawned
   bool resting = false;        // cycle done, waiting out the cooldown
-  u64 next_cycle_ms = 0;       // when the next reconnect+send may start
+  u64 next_cycle_ms = 0;       // when the next redial may start
 };
 
 // One full soak. `sampler`/`engine` null = the bare (uninstrumented) run;
 // both runs are otherwise identical down to every seeded draw.
 Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
                      telemetry::SloEngine* engine) {
-  net::SimNet medium(seed);
   net::FaultPlan faults;
   faults.partitions.push_back({kPartitionStart, kPartitionEnd});
-  medium.set_fault_plan(faults);
+  bench::SoakWorld world(seed, faults);
 
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e17");
-  cfg.redirector.tls = issl::Config::embedded_port();
+  services::ServiceBoardConfig cfg = bench::board_config("e17");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
-  cfg.board_ip = 1;
   cfg.net_seed = seed * 131;
   cfg.power_off_ms = kPowerOffMs;
-  cfg.reboot_ms = 2;
   cfg.power_plan = dynk::PowerFaultPlan::at({kPowerCutStep});
-  services::ServiceBoard board(medium, cfg);
+  services::ServiceBoard board(world.medium, cfg);
   if (sampler != nullptr) board.attach_sampler(sampler);
 
-  issl::Config client_tls = issl::Config::embedded_port();
-  client_tls.resumption = true;
-
-  std::vector<u8> payload(kPayloadBytes);
-  common::Xorshift64 fill(seed ^ 0xE17E17);
-  fill.fill(payload);
+  const std::vector<u8> payload =
+      bench::random_payload(kPayloadBytes, seed ^ 0xE17E17);
 
   // The serving signal the SLO rules watch. Both runs move these counters
   // (registry writes are behavior-neutral); only the instrumented run has a
@@ -176,15 +156,12 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
   std::vector<Worker> workers(kWorkers);
 
   const auto spawn = [&](Worker& w) {
-    w.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, client_tls, bytes_of("e17"),
-        seed * 977 + ++r.spawned);
     // Short enough that an outage turns into counted failures within a few
     // sample windows — the error signal the alerts are gated on.
-    w.client->set_idle_give_up(kIdleGiveUpPolls);
-    (void)w.client->start();
-    (void)w.client->send(payload);
-    w.want = w.client->received().size() + payload.size();
+    w.echo.emplace(world.client(cfg.redirector, seed * 977 + ++r.spawned,
+                                kIdleGiveUpPolls),
+                   payload, payload.size());
+    w.echo->start();
   };
 
   bool was_up = board.up();
@@ -195,9 +172,9 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
 
     // Record the board's power edges: the power-cut onset/recovery that
     // gate (a) aligns alerts against is *observed*, not scheduled.
-    if (was_up && !board.up()) r.down_at.push_back(medium.now_ms());
+    if (was_up && !board.up()) r.down_at.push_back(world.medium.now_ms());
     if (!was_up && board.up() && !r.down_at.empty()) {
-      r.up_at.push_back(medium.now_ms());
+      r.up_at.push_back(world.medium.now_ms());
     }
     was_up = board.up();
 
@@ -209,27 +186,21 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
       engine->evaluate(sampler->last_sample_ms());
     }
 
-    backend.poll();
+    world.backend.poll();
     for (Worker& w : workers) {
-      if (!w.client) {
+      if (!w.echo) {
         spawn(w);
         continue;
       }
-      services::Client& c = *w.client;
       if (w.resting) {
         if (t < w.next_cycle_ms) continue;  // connection sits idle
         w.resting = false;
         // Keep the earned ticket: steady state is abbreviated handshakes.
-        if (c.reconnect().is_ok()) {
-          (void)c.send(payload);
-          w.want = c.received().size() + payload.size();
-        } else {
-          w.client.reset();
-        }
+        if (!w.echo->redial()) w.echo.reset();
         continue;
       }
-      const bool alive = c.poll();
-      if (c.received().size() >= w.want) {
+      const auto step = w.echo->poll();
+      if (step == State::kDone) {
         ++r.ok;
         r.rx_bytes += payload.size();
         requests_ok.add(1);
@@ -237,14 +208,14 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
         w.next_cycle_ms = t + kCycleCooldownMs;
         continue;
       }
-      if (!alive || c.failed()) {
+      if (step == State::kFailed) {
         ++r.fail;
         requests_failed.add(1);
-        w.client.reset();  // respawned (fresh handshake) next ms
+        w.echo.reset();  // respawned (fresh handshake) next ms
       }
     }
 
-    medium.tick(1);
+    world.medium.tick(1);
   }
 
   r.boots = board.boots();
@@ -255,10 +226,10 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
     r.durable_served = ds.served;
     r.durable_generation = ds.generation;
   }
-  r.sent = medium.segments_sent();
-  r.delivered = medium.segments_delivered();
-  r.payload_bytes = medium.payload_bytes_delivered();
-  r.drops_partition = medium.drops_partition();
+  r.sent = world.medium.segments_sent();
+  r.delivered = world.medium.segments_delivered();
+  r.payload_bytes = world.medium.payload_bytes_delivered();
+  r.drops_partition = world.medium.drops_partition();
   return r;
 }
 

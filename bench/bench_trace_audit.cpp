@@ -28,13 +28,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "services/supervisor.h"
+#include "soak_world.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/trace.h"
 
@@ -44,7 +42,7 @@ using common::u8;
 
 namespace {
 
-using common::bytes_of;
+using State = bench::ChunkedEcho::State;
 
 struct SoakResult {
   bool ok = true;
@@ -67,10 +65,6 @@ struct SoakResult {
   u64 pcap_bytes = 0;
 };
 
-struct LiveClient {
-  std::unique_ptr<services::Client> client;
-};
-
 SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
                     std::vector<telemetry::TraceEvent>* events_out) {
   auto& tracer = telemetry::Tracer::global();
@@ -78,56 +72,35 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   tracer.set_enabled(traced);
   tracer.set_pcap_capture(traced);
 
-  net::SimNet medium(seed);
-  medium.set_fault_plan(net::FaultPlan::burst_loss(0.02));
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
+  bench::SoakWorld world(seed, net::FaultPlan::burst_loss(0.02));
   // A WDT bite can destroy the board mid-close: the client has its FIN acked
   // (FIN_WAIT_2) but the peer's FIN dies with the board, and FIN_WAIT_2 has
   // no retransmission to time out on. Without this the trace audit would
   // flag a genuinely half-open TCB as an orphan forever. 10s of silence is
   // far beyond the retx give-up horizon, and the post-soak drain runs 30s.
-  backend_host.set_fin_wait2_timeout_ms(10'000);
-  client_host.set_fin_wait2_timeout_ms(10'000);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
+  world.backend_host.set_fin_wait2_timeout_ms(10'000);
+  world.client_host.set_fin_wait2_timeout_ms(10'000);
 
-  services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e12");
-  cfg.redirector.handler_slots = 3;
-  cfg.redirector.tls = issl::Config::embedded_port();
+  services::ServiceBoardConfig cfg = bench::board_config("e12");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
   cfg.redirector.crypto_cycles_handshake = 2'000'000;
   cfg.redirector.crypto_cycles_resumed_handshake = 500'000;
-  cfg.board_ip = 1;
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
-  cfg.reboot_ms = 2;
-  services::ServiceBoard board(medium, cfg);
+  services::ServiceBoard board(world.medium, cfg);
 
-  issl::Config ctls = issl::Config::embedded_port();
-  ctls.resumption = true;
-
-  const std::vector<u8> payload = bytes_of("ping over resumed tls");
+  const std::vector<u8> payload = common::bytes_of("ping over resumed tls");
   SoakResult r;
-  std::vector<LiveClient> live;
+  std::vector<bench::ChunkedEcho> live;
   u64 spawned = 0;
   constexpr std::size_t kConcurrency = 2;
 
   auto spawn = [&]() {
-    LiveClient lc;
-    lc.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, ctls, bytes_of("e12"),
-        seed * 977 + ++spawned);
-    lc.client->set_idle_give_up(25'000);
-    (void)lc.client->start();
-    (void)lc.client->send(payload);
-    live.push_back(std::move(lc));
+    live.emplace_back(
+        world.client(cfg.redirector, seed * 977 + ++spawned, 25'000), payload,
+        payload.size());
+    live.back().start();
   };
 
   // First wedge lands mid-soak so the bite kills live handshakes/forwards;
@@ -146,12 +119,12 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
     }
 
     board.poll();
-    backend.poll();
+    world.backend.poll();
     for (std::size_t i = 0; i < live.size();) {
-      services::Client& c = *live[i].client;
-      const bool alive = c.poll();
-      const bool done = c.received().size() >= payload.size();
-      if (done || !alive || c.failed()) {
+      const auto step = live[i].poll();
+      if (step != State::kLive) {
+        services::Client& c = live[i].client();
+        const bool done = step == State::kDone;
         if (done) {
           ++r.completed;
           if (c.resumed()) ++r.resumed;
@@ -162,7 +135,7 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
         // cleanly afterwards.
         if (t < spawn_until) {
           if (done) c.close();
-          if (!c.reconnect().is_ok() || !c.send(payload).is_ok()) {
+          if (!live[i].redial()) {
             r.ok = false;
             live.erase(live.begin() + static_cast<long>(i));
             continue;
@@ -176,7 +149,7 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
       ++i;
     }
 
-    medium.tick(1);
+    world.medium.tick(1);
     if (t >= spawn_until && live.empty()) break;
   }
   r.stuck = static_cast<int>(live.size());
@@ -186,17 +159,17 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   // again, so close them and let TCP run to a terminal (FIN exchange, or
   // RST/give-up against a dead address). Keeps the trace free of half-open
   // connections the audit would rightly flag.
-  backend.close_all();
+  world.backend.close_all();
   for (u64 d = 0; d < 30'000; ++d) {
     board.poll();
-    backend.poll();
-    medium.tick(1);
+    world.backend.poll();
+    world.medium.tick(1);
   }
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall0)
                   .count();
 
-  r.elapsed_virtual_ms = medium.now_ms();
+  r.elapsed_virtual_ms = world.medium.now_ms();
   r.boots = board.boots();
   r.wdt_bites = board.wdt_bites();
 

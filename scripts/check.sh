@@ -18,18 +18,18 @@
 # reproducibility. E17 (SLO timeline) runs its partition + power-cut soak
 # with the sampler and alert engine under the same sanitizers, and its JSON
 # and timeseries CSV join the determinism double-run. Finally, a baseline
-# gate: with resumption and tracing off (the defaults), the gated bench
-# artifacts (E1-E5/E9/E10/E11/E12/E14) must be byte-identical to the
-# ones a clean checkout of origin/main (or main) produces — new machinery
-# must be invisible until switched on. With the crypto offload engine
-# (E14), the abuse library, the slab allocator (E16), and the timeseries
-# sampler (E17) in the tree, that baseline doubles as the do-no-harm gate:
-# those hooks are compiled into every bench binary but never selected by
-# the gated configs (the sampler is never attached), so their JSON must
-# not move by a byte. The always-on instruments (latency histograms,
-# issl.malformed_records, board.resets.<cause>) register lazily, on their
-# first event, so they appear in the `metrics` of a bench whose run has
-# such an event and nowhere else.
+# gate: the gated bench artifacts (E1-E5/E9-E12/E14-E17 JSON, E12's Chrome
+# trace and pcap, E17's timeseries CSV) must be byte-identical to the ones
+# an export of origin/main (or main) produces. Each gated bench keeps its
+# own fixed config (E9 sheds when busy, E12 runs resumption with tracing
+# on, E16 runs the reduced sanitizer-scale churn), so this is the
+# do-no-harm gate: whatever the tree compiles into a bench binary but the
+# bench does not select must not move a byte of its output, and a refactor
+# of the benches themselves must leave every artifact as it was. The
+# always-on instruments (latency histograms, issl.malformed_records,
+# board.resets.<cause>) register lazily, on their first event, so they
+# appear in the `metrics` of a bench whose run has such an event and
+# nowhere else.
 #
 # Usage:
 #   scripts/check.sh [--skip-baseline]
@@ -148,26 +148,22 @@ if ((skip_baseline)); then
   echo "check.sh: baseline gate skipped (--skip-baseline)"
 else
   echo
-  echo "== baseline: new machinery off => gated benches identical to main =="
-  # Default-off machinery (resumption, tracing, the engine backend, the
-  # timeseries sampler + SLO engine) must be invisible: run the gated
-  # benches (E1-E5/E9/E10/E11/E12/E14 —
-  # none of whose configs switch the new knobs on) from this tree AND from
-  # a pristine main worktree, and require byte-identical JSON. This is the
-  # do-no-harm gate — the hardening/observability paths are compiled into
-  # every binary here, and merely compiling them in must not move a byte.
-  # In particular E1/E9/E11 pin sampler-off byte-identity: the sampler is
-  # linked into all three, but no sampler is attached. E2/E3 pin the
-  # dcc -> rasm image bytes and cycle counts of the optimization and
-  # code-size studies.
+  echo "== baseline: gated bench artifacts identical to main =="
+  # Run the gated benches from this tree AND from an export of main, and
+  # require byte-identical artifacts. Configs that turn a hardening or
+  # observability path on (E9 shedding, E12 resumption + tracing, the
+  # E15-E17 soaks) compare against main's run of the same config. E1/E9/E11
+  # pin sampler-off byte-identity: the sampler is linked into all three,
+  # but no sampler is attached. E2/E3 pin the dcc -> rasm image bytes and
+  # cycle counts of the optimization and code-size studies.
   base_ref="origin/main"
   git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null || base_ref="main"
   if git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null &&
      ! git -C "$repo_root" diff --quiet "$base_ref" -- \
-         src bench scripts 2>/dev/null; then
+         src bench scripts dc asm CMakeLists.txt 2>/dev/null; then
     base_dir="$tmp/baseline-src"
-    git -C "$repo_root" worktree add --detach "$base_dir" "$base_ref" >/dev/null
-    trap 'git -C "$repo_root" worktree remove --force "$base_dir" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
+    mkdir -p "$base_dir"
+    git -C "$repo_root" archive "$base_ref" | tar -x -C "$base_dir"
     cmake -B "$base_dir/build" -S "$base_dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
     # A gated bench that the baseline ref predates (a brand-new experiment)
     # has nothing to compare against — skip it rather than fail the build.
@@ -176,7 +172,9 @@ else
                  E3:bench_code_size E4:bench_connections \
                  E5:bench_ssl_throughput E9:bench_fault_soak \
                  E10:bench_crash_soak E11:bench_resumption \
-                 E12:bench_trace_audit E14:bench_crypto_offload; do
+                 E12:bench_trace_audit E14:bench_crypto_offload \
+                 E15:bench_abuse_soak E16:bench_mem_churn \
+                 E17:bench_slo_timeline; do
       if [[ -f "$base_dir/bench/${entry#*:}.cpp" ]]; then
         gated+=("$entry")
       else
@@ -189,13 +187,27 @@ else
     rel_dir="$repo_root/build-rel-gate"
     cmake -B "$rel_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build "$rel_dir" -j "${targets[@]}" >/dev/null
+    # run_gated <side> <build dir> <id> <bench>: writes $tmp/<side>_<id>.*
+    run_gated() {
+      local out="$tmp/${1}_${3}" extra=()
+      case "$3" in
+        E9|E10|E15) extra=(--seed 233) ;;
+        E12) extra=(--trace "$out.trace.json" --pcap "$out.pcap") ;;
+        E16) extra=("${e16_flags[@]}") ;;
+        E17) extra=(--seed 563 --csv "$out.csv") ;;
+      esac
+      "$2/bench/$4" "${extra[@]}" --json "$out.json" >/dev/null
+    }
     for entry in "${gated[@]}"; do
       id="${entry%%:*}" bin="${entry#*:}"
-      extra=()
-      [[ "$id" == E9 || "$id" == E10 ]] && extra=(--seed 233)
-      "$base_dir/build/bench/$bin" "${extra[@]}" --json "$tmp/base_$id.json" >/dev/null
-      "$rel_dir/bench/$bin" "${extra[@]}" --json "$tmp/head_$id.json" >/dev/null
+      run_gated base "$base_dir/build" "$id" "$bin"
+      run_gated head "$rel_dir" "$id" "$bin"
       cmp "$tmp/base_$id.json" "$tmp/head_$id.json"
+      case "$id" in
+        E12) cmp "$tmp/base_E12.trace.json" "$tmp/head_E12.trace.json"
+             cmp "$tmp/base_E12.pcap" "$tmp/head_E12.pcap" ;;
+        E17) cmp "$tmp/base_E17.csv" "$tmp/head_E17.csv" ;;
+      esac
       echo "$id: identical to $base_ref"
     done
   else
