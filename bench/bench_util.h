@@ -114,8 +114,7 @@ class Args {
 
   /// Wall-clock milliseconds since flag parsing (≈ process start). Host
   /// state, not workload shape: reported next to the deterministic numbers
-  /// but excluded from the byte-determinism comparison set (see
-  /// JsonReport::write and RMC_BENCH_NO_HOST_MS).
+  /// and dropped by every comparison (scripts/bench_diff.py).
   u64 host_ms() const {
     return static_cast<u64>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -212,6 +211,13 @@ class JsonReport {
     result(std::move(key), std::string(v));
   }
 
+  /// A host-timed number (wall-clock, varies run to run). Written to the
+  /// top-level "host" object, which comparisons drop along with host_ms, so
+  /// "results" holds only what a fixed seed reproduces.
+  void host(std::string key, double v) {
+    host_.emplace_back(std::move(key), v);
+  }
+
   /// Attach a cycle attribution under "profiles". The profiler must stay
   /// alive until write(); typical use names one per measured build.
   void profile(std::string name, const telemetry::CycleProfiler& p) {
@@ -240,12 +246,15 @@ class JsonReport {
     w.begin_object();
     w.kv("schema_version", 1);
     w.kv("bench", bench_);
-    // Wall-clock cost of the run: the perf trajectory the committed
-    // snapshots carry. Host state varies run to run, so the determinism
-    // gates (scripts/check.sh) export RMC_BENCH_NO_HOST_MS=1 to keep their
-    // byte-for-byte comparisons meaningful.
-    if (std::getenv("RMC_BENCH_NO_HOST_MS") == nullptr) {
-      w.kv("host_ms", args.host_ms());
+    // Wall-clock cost of the run and any other host-timed numbers: the perf
+    // trajectory the committed snapshots carry. They vary run to run, so
+    // scripts/bench_diff.py drops both before comparing the rest.
+    w.kv("host_ms", args.host_ms());
+    if (!host_.empty()) {
+      w.key("host");
+      w.begin_object();
+      for (const auto& [key, value] : host_) w.kv(key, value);
+      w.end_object();
     }
     w.key("params");
     w.begin_object();
@@ -346,6 +355,7 @@ class JsonReport {
 
   std::string bench_;
   std::vector<Entry> entries_;
+  std::vector<std::pair<std::string, double>> host_;
   std::vector<std::pair<std::string, const telemetry::CycleProfiler*>>
       profiles_;
   const telemetry::Sampler* sampler_ = nullptr;

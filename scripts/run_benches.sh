@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Build Release and run every experiment with --json, collecting the stable
-# BENCH_*.json artifacts at the repo root (schema: schema_version / bench /
-# params / results / profiles / metrics — see bench/bench_util.h).
+# Build Release and run every experiment with --json into out_dir (schema:
+# bench/bench_util.h). This is the one place that names each bench's
+# arguments; bench/snapshots/ is the output of `run_benches.sh
+# bench/snapshots`, and check.sh compares a fresh run with it.
 #
-# Every bench runs even if an earlier one fails; failures are collected and
-# a per-bench PASS/FAIL table is printed at the end — and also written as
-# machine-readable bench/snapshots/SUMMARY.json — and the script exits
-# non-zero if there were any failures. A half-written artifact from a failed
-# bench is removed so stale JSON never masquerades as a fresh result.
+# Every bench runs even if an earlier one fails; a failed bench's JSON is
+# removed so stale JSON never masquerades as a fresh result, a PASS/FAIL
+# table is printed and written to out_dir/SUMMARY.json, and the script exits
+# non-zero on any failure.
 #
-# E12 (bench_trace_audit) additionally writes the tracing artifacts — the
-# Chrome trace JSON and the pcap — next to its BENCH_E12.json.
+# E12 also writes its Chrome trace and pcap, and E17 its timeseries CSV.
+# They are large, so out_dir/ARTIFACTS.sha256 records their sha256sum
+# digests and the snapshots commit only that file.
 #
 # Usage:
 #   scripts/run_benches.sh [out_dir]      # default: repo root
@@ -23,6 +24,9 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 out_dir="${1:-$repo_root}"
 build_dir="$repo_root/build-bench"
 mkdir -p "$out_dir"
+# Digested below; removed first so a failed run cannot digest stale copies.
+large=(BENCH_E12.trace.json BENCH_E12.pcap BENCH_E17.timeline.csv)
+(cd "$out_dir" && rm -f "${large[@]}" ARTIFACTS.sha256)
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$build_dir" -j >/dev/null
@@ -71,15 +75,21 @@ if ! "$build_dir/bench/bench_crypto_primitives" \
   failures+=(CRYPTO)
 fi
 
+ran+=(DIGESTS)
+if ! (cd "$out_dir" && sha256sum "${large[@]}" >ARTIFACTS.sha256); then
+  echo "!! ARTIFACTS.sha256 incomplete" >&2
+  rm -f "$out_dir/ARTIFACTS.sha256"
+  failures+=(DIGESTS)
+fi
+
 echo
 echo "artifacts:"
-ls -l "$out_dir"/BENCH_* || true
+ls -l "$out_dir"/BENCH_* "$out_dir/ARTIFACTS.sha256" || true
 
 echo
 echo "bench     result"
 echo "--------  ------"
-summary_json="$repo_root/bench/snapshots/SUMMARY.json"
-mkdir -p "$(dirname "$summary_json")"
+summary_json="$out_dir/SUMMARY.json"
 {
   echo '{'
   echo '  "schema_version": 1,'
