@@ -12,45 +12,30 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "services/redirector.h"
+#include "soak_world.h"
 
 using namespace rmc;
-using common::u8;
 
 namespace {
 
-using common::bytes_of;
-
 int completed_handshakes(std::size_t handler_slots, int offered_clients,
                          int rounds) {
-  net::SimNet medium(0xE4);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e4");
+  bench::SoakWorld world(0xE4);
+  services::RedirectorConfig cfg = bench::service_config("e4");
   cfg.handler_slots = handler_slots;
-  services::RmcRedirector red(board, medium, cfg);
+  services::RmcRedirector red(world.add_board_stack(), world.medium, cfg);
   if (!red.start().is_ok()) return -1;
 
   std::vector<std::unique_ptr<services::Client>> clients;
   for (int i = 0; i < offered_clients; ++i) {
-    clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e4"), 0xE400 + i));
+    clients.push_back(world.client(cfg, 0xE400 + i));
     (void)clients.back()->start();
   }
   for (int round = 0; round < rounds; ++round) {
     red.poll();
-    backend.poll();
+    world.backend.poll();
     for (auto& c : clients) (void)c->poll();
-    medium.tick(1);
+    world.medium.tick(1);
   }
   int done = 0;
   for (auto& c : clients) done += c->handshake_done() ? 1 : 0;

@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
     report.result(k + "xalloc_restarts", r.xalloc_restarts);
     report.result(k + "recovery_total_ms", r.recovery_total_ms);
     report.result(k + "recovery_total_cycles",
-                  r.recovery_total_ms * services::ServiceBoard::kCyclesPerMs);
+                  r.recovery_total_ms * rabbit::Board::kCyclesPerMs);
     report.result(k + "recovery_last_ms", r.recovery_last_ms);
     report.result(k + "sessions_completed", r.completed);
     report.result(k + "sessions_failed_closed", r.failed);

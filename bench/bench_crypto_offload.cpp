@@ -22,21 +22,17 @@
 //      THESE EXITS NONZERO.
 //   3. the E5 table with the engine column: secure-vs-plain throughput when
 //      record crypto is (modeled as) offloaded — does the redirector
-//      finally become network-bound?
+//      finally become network-bound? Same run as E5 (crypto_cost.h's
+//      echo_throughput), so its C and asm rows repeat E5's.
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
-#include "dcc/codegen.h"
+#include "crypto_cost.h"
 #include "dynk/cryptodev.h"
 #include "issl/issl.h"
-#include "rabbit/board.h"
-#include "services/aes_port.h"
-#include "services/redirector.h"
 
 using namespace rmc;
 using common::u64;
@@ -50,60 +46,13 @@ using common::bytes_of;
 // Part 1: primitive costs
 // ---------------------------------------------------------------------------
 
-struct PrimitiveCost {
-  u64 keysetup = 0;     // AES key schedule (engine: key-load op)
-  u64 aes_block = 0;    // per 16-byte block
-  u64 sha1_block = 0;   // per 64-byte MAC chunk (engine: HMAC marginal)
-};
-
-u64 measure_sha1_block(const dcc::CodegenOptions& opts) {
-  auto src =
-      services::read_text_file(std::string(RMC_REPO_ROOT) + "/dc/sha1.dc");
-  if (!src.ok()) return 0;
-  auto compiled = dcc::compile(*src, opts);
-  if (!compiled.ok()) return 0;
-  rabbit::Board board;
-  board.load(compiled->image);
-  (void)board.call("f_sha1_init", 100'000'000);
-  auto r = board.call("f_sha1_block", 500'000'000);
-  return r.ok() ? r->cycles : 0;
-}
-
-// Software costs, measured exactly as E5 measures them: AES on the
-// simulated board (hand assembly or the MiniDynC debug build), SHA-1 from
-// the C build scaled by the measured asm/C AES ratio for the asm treatment.
-PrimitiveCost measure_software(services::AesImpl impl,
-                               bool assembly_treatment) {
-  const auto opts = assembly_treatment ? dcc::CodegenOptions{}
-                                       : dcc::CodegenOptions::debug_defaults();
-  auto aes = services::AesOnBoard::create_from_repo(impl, RMC_REPO_ROOT, opts);
-  if (!aes.ok()) {
-    std::printf("load failed: %s\n", aes.status().to_string().c_str());
-    std::exit(1);
-  }
-  common::Xorshift64 rng(1);
-  std::array<u8, 16> key{}, pt{}, ct{};
-  rng.fill(key);
-  rng.fill(pt);
-  PrimitiveCost cost;
-  cost.keysetup = *aes->set_key(key);
-  cost.aes_block = *aes->encrypt(pt, ct);
-  cost.sha1_block = measure_sha1_block(dcc::CodegenOptions::debug_defaults());
-  if (assembly_treatment) {
-    auto c_aes = services::AesOnBoard::create_from_repo(
-        services::AesImpl::kCompiledC, RMC_REPO_ROOT,
-        dcc::CodegenOptions::debug_defaults());
-    (void)c_aes->set_key(key);
-    const u64 c_block = *c_aes->encrypt(pt, ct);
-    cost.sha1_block = cost.sha1_block * cost.aes_block / c_block;
-  }
-  return cost;
-}
-
+// The C and asm costs are bench/crypto_cost.h's measure_software(), the
+// board measurement E5 prices with; the engine's are measured here.
+//
 // Engine costs, measured through the driver: CPU stall cycles per op,
 // descriptor fetch + DMA + poll-quantum rounding all included — the honest
 // "what does the CPU see" number, not the datasheet figure.
-PrimitiveCost measure_engine(rabbit::CryptoCellTiming timing) {
+bench::PrimitiveCost measure_engine(rabbit::CryptoCellTiming timing) {
   rabbit::Board board;
   board.attach_cryptocell(timing);
   dynk::CryptoDev dev(board.io(), board.mem());
@@ -123,7 +72,7 @@ PrimitiveCost measure_engine(rabbit::CryptoCellTiming timing) {
   (void)dev.aes_cbc(true, key, iv, std::vector<u8>(16, 1));
   const u64 one_block_op = stall() - before;
 
-  PrimitiveCost cost;
+  bench::PrimitiveCost cost;
   cost.keysetup = first_op - one_block_op;
   // Marginal block cost over a 33-block op (amortizes descriptor + poll
   // rounding out of the per-block figure).
@@ -243,83 +192,6 @@ SessionRun run_session(issl::Backend backend, issl::RecordEngine* engine,
   return run;
 }
 
-// ---------------------------------------------------------------------------
-// Part 3: the E5 measurement with the engine column
-// ---------------------------------------------------------------------------
-
-struct CipherCost {
-  u64 cycles_per_byte = 0;
-  u64 handshake_cycles = 0;
-};
-
-CipherCost to_cipher_cost(const PrimitiveCost& p) {
-  CipherCost c;
-  c.cycles_per_byte = p.aes_block / 16 + p.sha1_block / 64;
-  c.handshake_cycles = p.keysetup + 22 * p.sha1_block;
-  return c;
-}
-
-struct Run {
-  double virtual_seconds = 0;
-  u64 bytes_echoed = 0;
-  double bytes_per_second() const {
-    return virtual_seconds > 0 ? bytes_echoed / virtual_seconds : 0;
-  }
-};
-
-Run serve(bool secure, const CipherCost& cost, int connections,
-          std::size_t payload_bytes) {
-  net::SimNet medium(0xE14);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.secure = secure;
-  cfg.psk = bytes_of("e14");
-  cfg.handler_slots = 3;
-  if (secure) {
-    cfg.crypto_cycles_per_byte = cost.cycles_per_byte;
-    cfg.crypto_cycles_handshake = cost.handshake_cycles;
-  }
-  services::RmcRedirector red(board, medium, cfg);
-  (void)red.start();
-
-  std::vector<u8> payload(payload_bytes);
-  common::Xorshift64 fill(1);
-  fill.fill(payload);
-
-  Run run;
-  const u64 t0 = medium.now_ms();
-  for (int conn = 0; conn < connections; ++conn) {
-    services::Client client(client_host, 1, 4433, secure,
-                            issl::Config::embedded_port(), bytes_of("e14"),
-                            0xE1400 + conn);
-    (void)client.start();
-    (void)client.send(payload);
-    for (int round = 0; round < 2'000'000; ++round) {
-      red.poll();
-      backend.poll();
-      (void)client.poll();
-      medium.tick(1);
-      if (client.received().size() >= payload.size()) break;
-    }
-    run.bytes_echoed += client.received().size();
-    client.close();
-    for (int round = 0; round < 10; ++round) {
-      red.poll();
-      medium.tick(1);
-    }
-  }
-  run.virtual_seconds = static_cast<double>(medium.now_ms() - t0) / 1e3;
-  return run;
-}
-
 bool gate_fail(bench::JsonReport& report, const char* what) {
   std::printf("GATE FAIL: %s\n", what);
   report.result("gate.pass", false);
@@ -348,11 +220,11 @@ int main(int argc, char** argv) {
   bench::JsonReport report("E14");
 
   // --- Part 1: primitive table (E1 + engine column) -----------------------
-  const PrimitiveCost c_cost =
-      measure_software(services::AesImpl::kCompiledC, false);
-  const PrimitiveCost asm_cost =
-      measure_software(services::AesImpl::kHandAssembly, true);
-  const PrimitiveCost eng_cost = measure_engine({});
+  const bench::PrimitiveCost c_cost =
+      bench::measure_software(services::AesImpl::kCompiledC);
+  const bench::PrimitiveCost asm_cost =
+      bench::measure_software(services::AesImpl::kHandAssembly);
+  const bench::PrimitiveCost eng_cost = measure_engine({});
 
   std::printf("%-22s %14s %14s %14s\n", "cycles", "C port", "asm", "engine");
   std::printf("%-22s %14llu %14llu %14llu\n", "AES key setup",
@@ -444,9 +316,10 @@ int main(int argc, char** argv) {
   report.result("gate.fallback_used_c", run_fb.client_fallback);
 
   // --- Part 3: E5 with the engine column ----------------------------------
-  const CipherCost c_cipher = to_cipher_cost(c_cost);
-  const CipherCost asm_cipher = to_cipher_cost(asm_cost);
-  const CipherCost eng_cipher = to_cipher_cost(eng_cost);
+  const bench::CipherCost c_cipher = bench::cipher_cost(c_cost);
+  const bench::CipherCost asm_cipher = bench::cipher_cost(asm_cost);
+  const bench::CipherCost eng_cipher = bench::cipher_cost(eng_cost);
+  const bench::ThroughputSetup setup{0xE14, "e14", 0xE1400, kConns};
   report.result("engine.cycles_per_byte", eng_cipher.cycles_per_byte);
   report.result("engine.handshake_cycles", eng_cipher.handshake_cycles);
 
@@ -462,26 +335,26 @@ int main(int argc, char** argv) {
 
   double engine_bulk_slowdown = 0;
   for (const std::size_t payload : {64u, 512u, 4096u, 16384u}) {
-    const Run plain = serve(false, {}, kConns, payload);
+    const auto plain = bench::echo_throughput(setup, std::nullopt, payload);
     const std::string row = "payload_" + std::to_string(payload);
     report.result(row + ".plain_bytes_per_s", plain.bytes_per_second());
     std::printf("%10zu %12.0f", payload, plain.bytes_per_second());
     if (want_c) {
-      const Run r = serve(true, c_cipher, kConns, payload);
+      const auto r = bench::echo_throughput(setup, c_cipher, payload);
       const double slow = plain.bytes_per_second() / r.bytes_per_second();
       report.result(row + ".secure_c_bytes_per_s", r.bytes_per_second());
       report.result(row + ".slowdown_c", slow);
       std::printf(" %12.0f %5.1fx", r.bytes_per_second(), slow);
     }
     if (want_asm) {
-      const Run r = serve(true, asm_cipher, kConns, payload);
+      const auto r = bench::echo_throughput(setup, asm_cipher, payload);
       const double slow = plain.bytes_per_second() / r.bytes_per_second();
       report.result(row + ".secure_asm_bytes_per_s", r.bytes_per_second());
       report.result(row + ".slowdown_asm", slow);
       std::printf(" %12.0f %5.1fx", r.bytes_per_second(), slow);
     }
     if (want_eng) {
-      const Run r = serve(true, eng_cipher, kConns, payload);
+      const auto r = bench::echo_throughput(setup, eng_cipher, payload);
       const double slow = plain.bytes_per_second() / r.bytes_per_second();
       report.result(row + ".secure_engine_bytes_per_s", r.bytes_per_second());
       report.result(row + ".slowdown_engine", slow);

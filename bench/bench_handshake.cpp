@@ -12,9 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "issl/issl.h"
-#include "net/simnet.h"
-#include "net/tcp.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -30,15 +28,7 @@ struct HandshakeRun {
 };
 
 HandshakeRun run_handshake(const issl::Config& config) {
-  net::SimNet medium(0xE6);
-  net::TcpStack server_stack(medium, 1);
-  net::TcpStack client_stack(medium, 2);
-  auto listener = server_stack.listen(4433);
-  auto csock = client_stack.connect(1, 4433);
-  medium.tick(20);
-  auto ssock = server_stack.accept(*listener);
-  issl::TcpStream server_stream(server_stack, *ssock);
-  issl::TcpStream client_stream(client_stack, *csock);
+  bench::HandshakePair pair(0xE6);
   common::Xorshift64 srng(1), crng(2);
 
   const std::vector<u8> psk = {'e', '6'};
@@ -47,20 +37,13 @@ HandshakeRun run_handshake(const issl::Config& config) {
   if (config.key_exchange == issl::KeyExchange::kRsa) {
     id.rsa = crypto::rsa_generate(config.rsa_modulus_bits, srng);
   }
-  auto server = issl::issl_bind_server(server_stream, config, srng, id);
-  auto client = issl::issl_bind_client(client_stream, config, crng, psk);
+  auto server = issl::issl_bind_server(pair.server_stream, config, srng, id);
+  auto client = issl::issl_bind_client(pair.client_stream, config, crng, psk);
 
   HandshakeRun run;
-  const u64 t0 = medium.now_ms();
   const auto wall0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 5'000; ++i) {
-    (void)client.pump();
-    (void)server.pump();
-    medium.tick(1);
-    if (client.established() && server.established()) break;
-  }
+  run.virtual_ms = pair.handshake(client, server);
   run.ok = client.established() && server.established();
-  run.virtual_ms = medium.now_ms() - t0;
   run.host_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall0)
                     .count();

@@ -24,10 +24,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "issl/issl.h"
-#include "net/simnet.h"
-#include "net/tcp.h"
-#include "services/redirector.h"
+#include "soak_world.h"
 
 using namespace rmc;
 using common::u64;
@@ -52,38 +49,24 @@ u64 total(const HsRun& r) { return r.client_cycles + r.server_cycles; }
 HsRun run_handshake(const issl::Config& config,
                     const crypto::RsaKeyPair& key, issl::SessionCache* cache,
                     const issl::ResumptionTicket* ticket, u64 seed) {
-  net::SimNet medium(0xE11 + seed);
-  net::TcpStack server_stack(medium, 1);
-  net::TcpStack client_stack(medium, 2);
-  auto listener = server_stack.listen(4433);
-  auto csock = client_stack.connect(1, 4433);
-  medium.tick(20);
-  auto ssock = server_stack.accept(*listener);
-  issl::TcpStream server_stream(server_stack, *ssock);
-  issl::TcpStream client_stream(client_stack, *csock);
+  bench::HandshakePair pair(0xE11 + seed);
   common::Xorshift64 srng(11 + seed), crng(22 + seed);
 
   issl::ServerIdentity id;
   id.rsa = key;
   id.session_cache = cache;
-  auto server = issl::issl_bind_server(server_stream, config, srng, id);
-  auto client = issl::issl_bind_client(client_stream, config, crng, {}, ticket);
+  auto server = issl::issl_bind_server(pair.server_stream, config, srng, id);
+  auto client =
+      issl::issl_bind_client(pair.client_stream, config, crng, {}, ticket);
 
   HsRun run;
-  const u64 t0 = medium.now_ms();
-  for (int i = 0; i < 5'000; ++i) {
-    (void)client.pump();
-    (void)server.pump();
-    medium.tick(1);
-    if (client.established() && server.established()) break;
-  }
+  run.virtual_ms = pair.handshake(client, server);
   run.ok = client.established() && server.established();
   run.resumed = client.resumed() && server.resumed();
   run.client_cycles = client.handshake_cost_cycles();
   run.server_cycles = server.handshake_cost_cycles();
   run.messages =
       client.handshake_messages_seen() + server.handshake_messages_seen();
-  run.virtual_ms = medium.now_ms() - t0;
   run.ticket = client.ticket();
   return run;
 }
@@ -101,71 +84,49 @@ struct ServiceRun {
 };
 
 ServiceRun run_service(bool resumption, int cycles) {
-  net::SimNet medium(0x511);
-  net::TcpStack rmc_stack(medium, 1);
-  net::TcpStack backend_stack(medium, 2);
-  net::TcpStack client_stack(medium, 3);
-
-  services::RedirectorConfig rc;
-  rc.listen_port = 4433;
-  rc.backend_ip = 2;
-  rc.backend_port = 8000;
-  rc.secure = true;
-  rc.tls = issl::Config::embedded_port();
-  rc.psk = {'e', '1', '1'};
-  // The CPU-cost model carries the E6/session-level numbers: a full
-  // handshake costs the board ~2M cycles (PRF + MACs + the key exchange it
-  // would have run), an abbreviated one ~0.5M (PRF + MACs only).
-  rc.crypto_cycles_handshake = 2'000'000;
-  rc.crypto_cycles_resumed_handshake = 500'000;
+  bench::SoakWorld world(0x511);
+  services::RedirectorConfig rc = bench::service_config("e11");
+  rc.crypto_cycles_handshake = bench::kFullHandshakeCycles;
+  rc.crypto_cycles_resumed_handshake = bench::kResumedHandshakeCycles;
   if (resumption) {
     rc.tls.resumption = true;
     rc.session_cache_capacity = 8;
   }
-  services::RmcRedirector redirector(rmc_stack, medium, rc);
-  services::EchoBackend backend(backend_stack, 8000);
-  if (!redirector.start().is_ok() || !backend.start().is_ok()) {
-    return {false, 0, 0, 0, 0, 0, 0};
-  }
-
-  issl::Config ctls = issl::Config::embedded_port();
-  ctls.resumption = resumption;
-  services::Client client(client_stack, 1, 4433, true, ctls, rc.psk);
+  services::RmcRedirector redirector(world.add_board_stack(), world.medium,
+                                     rc);
+  if (!redirector.start().is_ok()) return {false, 0, 0, 0, 0, 0, 0};
+  // The client speaks the service's TLS config: resumption on or off with
+  // it. 0xC11E47 is services::Client's default session seed.
+  const auto client = world.client(rc, 0xC11E47);
 
   ServiceRun out;
-  const u64 t0 = medium.now_ms();
+  const u64 t0 = world.medium.now_ms();
   const std::vector<u8> payload = {'p', 'i', 'n', 'g'};
-  if (!client.start().is_ok()) return {false, 0, 0, 0, 0, 0, 0};
+  if (!client->start().is_ok()) return {false, 0, 0, 0, 0, 0, 0};
+  u64 t = 0;
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    (void)client.send(payload);
-    bool served = false;
-    for (int i = 0; i < 20'000; ++i) {
-      redirector.poll();
-      backend.poll();
-      (void)client.poll();
-      medium.tick(1);
-      if (client.received().size() >= payload.size()) {
-        served = true;
-        break;
-      }
-      if (client.failed()) break;
-    }
-    if (!served) {
+    (void)client->send(payload);
+    if (!bench::run_session(*client, payload.size(), 20'000, t, [&] {
+          redirector.poll();
+          world.backend.poll();
+          (void)client->poll();
+          world.medium.tick(1);
+        })) {
       out.ok = false;
       break;
     }
-    if (client.resumed()) ++out.resumed_handshakes;
-    if (cycle + 1 < cycles && !client.reconnect().is_ok()) {
+    if (client->resumed()) ++out.resumed_handshakes;
+    if (cycle + 1 < cycles && !client->reconnect().is_ok()) {
       out.ok = false;
       break;
     }
   }
-  client.close();
-  out.virtual_ms = medium.now_ms() - t0;
+  client->close();
+  out.virtual_ms = world.medium.now_ms() - t0;
   out.cache_hits = redirector.session_cache().hits();
   out.cache_misses = redirector.session_cache().misses();
-  out.client_tcbs_resident = client_stack.tcb_count();
-  out.client_tcbs_reaped = client_stack.tcbs_reaped();
+  out.client_tcbs_resident = world.client_host.tcb_count();
+  out.client_tcbs_reaped = world.client_host.tcbs_reaped();
   return out;
 }
 

@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sampler.samples()),
       sampler.series_count(), sampler.memory_bytes(), kMemoryBudgetBytes);
   std::printf("p99 resumed handshake: %.0f cycles (%.1f ms at 30 MHz)\n",
-              p99_resumed, p99_resumed / 30'000.0);
+              p99_resumed, bench::board_ms(p99_resumed));
   std::printf(
       "\ngates: aligned=%s  memory=%s  passive=%s  traced=%s\n",
       aligned ? "PASS" : "FAIL", memory_ok ? "PASS" : "FAIL",

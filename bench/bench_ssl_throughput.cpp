@@ -9,141 +9,15 @@
 //   * "direct C port" costs   — what the paper's first port would sustain;
 //   * "hand assembly" costs   — after adopting Rabbit's assembly cipher.
 //
-// Per-session handshake cost = measured AES key expansion + 22 *measured*
-// SHA-1 compressions on the same board build (the PRF for master secret +
-// key block is ~8 HMACs = 16 compressions, the two Finished MACs and the
-// transcript hash add ~6 more). Bulk cost = AES cycles/byte + the per-64B
-// MAC compression, both measured.
+// The per-byte and per-handshake charges are bench/crypto_cost.h's
+// cipher_cost() of the kernels measured on the board, and the service run
+// is its echo_throughput(): 3 clients in turn, each echoing one payload.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "dcc/codegen.h"
-#include "rabbit/board.h"
-#include "services/aes_port.h"
-#include "services/redirector.h"
+#include "crypto_cost.h"
 
 using namespace rmc;
-using common::u64;
-using common::u8;
-
-namespace {
-
-using common::bytes_of;
-
-struct CipherCost {
-  u64 cycles_per_byte = 0;
-  u64 handshake_cycles = 0;
-};
-
-// Measured cycles for one SHA-1 compression on the board (dc/sha1.dc).
-u64 measure_sha1_block(const dcc::CodegenOptions& opts) {
-  auto src = services::read_text_file(std::string(RMC_REPO_ROOT) +
-                                      "/dc/sha1.dc");
-  if (!src.ok()) return 0;
-  auto compiled = dcc::compile(*src, opts);
-  if (!compiled.ok()) return 0;
-  rabbit::Board board;
-  board.load(compiled->image);
-  (void)board.call("f_sha1_init", 100'000'000);
-  auto r = board.call("f_sha1_block", 500'000'000);
-  return r.ok() ? r->cycles : 0;
-}
-
-// `assembly_treatment`: the paper's endpoint — ALL crypto kernels get the
-// hand-assembly rewrite. We measured an assembly SHA-1 is not shipped with
-// the kit, so its cost is the measured C compression scaled by the E1
-// assembly/C ratio (documented estimate; the AES numbers are all measured).
-CipherCost measure_cost(services::AesImpl impl, bool assembly_treatment,
-                        const dcc::CodegenOptions& opts = {}) {
-  auto aes = services::AesOnBoard::create_from_repo(impl, RMC_REPO_ROOT, opts);
-  if (!aes.ok()) {
-    std::printf("load failed: %s\n", aes.status().to_string().c_str());
-    std::exit(1);
-  }
-  common::Xorshift64 rng(1);
-  std::array<u8, 16> key{}, pt{}, ct{};
-  rng.fill(key);
-  rng.fill(pt);
-  const u64 keyexp = *aes->set_key(key);
-  const u64 block = *aes->encrypt(pt, ct);
-  u64 sha = measure_sha1_block(dcc::CodegenOptions::debug_defaults());
-  if (assembly_treatment) {
-    // Scale by the measured E1 ratio (C debug block / asm block).
-    auto c_aes = services::AesOnBoard::create_from_repo(
-        services::AesImpl::kCompiledC, RMC_REPO_ROOT,
-        dcc::CodegenOptions::debug_defaults());
-    (void)c_aes->set_key(key);
-    const u64 c_block = *c_aes->encrypt(pt, ct);
-    sha = sha * block / c_block;
-  }
-  CipherCost cost;
-  cost.cycles_per_byte = block / 16 + sha / 64;  // cipher + HMAC share
-  cost.handshake_cycles = keyexp + 22 * sha;     // PRF + Finished (header)
-  return cost;
-}
-
-struct Run {
-  double virtual_seconds = 0;
-  u64 bytes_echoed = 0;
-  double bytes_per_second() const {
-    return virtual_seconds > 0 ? bytes_echoed / virtual_seconds : 0;
-  }
-};
-
-Run serve(bool secure, const CipherCost& cost, int connections,
-          std::size_t payload_bytes) {
-  net::SimNet medium(0xE5);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.secure = secure;
-  cfg.psk = bytes_of("e5");
-  cfg.handler_slots = 3;
-  if (secure) {
-    cfg.crypto_cycles_per_byte = cost.cycles_per_byte;
-    cfg.crypto_cycles_handshake = cost.handshake_cycles;
-  }
-  services::RmcRedirector red(board, medium, cfg);
-  (void)red.start();
-
-  std::vector<u8> payload(payload_bytes);
-  common::Xorshift64 fill(1);
-  fill.fill(payload);
-
-  Run run;
-  const u64 t0 = medium.now_ms();
-  for (int conn = 0; conn < connections; ++conn) {
-    services::Client client(client_host, 1, 4433, secure,
-                            issl::Config::embedded_port(), bytes_of("e5"),
-                            0xE500 + conn);
-    (void)client.start();
-    (void)client.send(payload);
-    for (int round = 0; round < 2'000'000; ++round) {
-      red.poll();
-      backend.poll();
-      (void)client.poll();
-      medium.tick(1);
-      if (client.received().size() >= payload.size()) break;
-    }
-    run.bytes_echoed += client.received().size();
-    client.close();
-    for (int round = 0; round < 10; ++round) {
-      red.poll();
-      medium.tick(1);
-    }
-  }
-  run.virtual_seconds = static_cast<double>(medium.now_ms() - t0) / 1e3;
-  return run;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
@@ -154,22 +28,22 @@ int main(int argc, char** argv) {
   std::puts("    (paper Section 2, citing Goldberg et al.: SSL cost ~10x)");
   std::puts("=================================================================\n");
 
-  const CipherCost c_port =
-      measure_cost(services::AesImpl::kCompiledC, false,
-                   dcc::CodegenOptions::debug_defaults());
-  const CipherCost hand =
-      measure_cost(services::AesImpl::kHandAssembly, true);
+  const bench::CipherCost c_port = bench::cipher_cost(
+      bench::measure_software(services::AesImpl::kCompiledC));
+  const bench::CipherCost hand = bench::cipher_cost(
+      bench::measure_software(services::AesImpl::kHandAssembly));
   std::printf("measured on-board cipher costs (from E1):\n");
   std::printf("  direct C port: %llu cyc/B bulk, %llu cyc handshake "
               "(%.1f ms)\n",
               static_cast<unsigned long long>(c_port.cycles_per_byte),
               static_cast<unsigned long long>(c_port.handshake_cycles),
-              c_port.handshake_cycles / 30'000.0);
+              bench::board_ms(c_port.handshake_cycles));
   std::printf("  asm treatment: %llu cyc/B bulk, %llu cyc handshake "
               "(%.1f ms)\n\n",
               static_cast<unsigned long long>(hand.cycles_per_byte),
               static_cast<unsigned long long>(hand.handshake_cycles),
-              hand.handshake_cycles / 30'000.0);
+              bench::board_ms(hand.handshake_cycles));
+  const bench::ThroughputSetup setup{0xE5, "e5", 0xE500, kConns};
 
   bench::JsonReport report("E5");
   report.result("c_port.cycles_per_byte", c_port.cycles_per_byte);
@@ -181,9 +55,9 @@ int main(int argc, char** argv) {
               "secure(C) B/s", "slow", "secure(asm) B/s", "slow");
   double small_c_slowdown = 0;
   for (const std::size_t payload : {64u, 512u, 4096u, 16384u}) {
-    const Run plain = serve(false, {}, kConns, payload);
-    const Run sec_c = serve(true, c_port, kConns, payload);
-    const Run sec_asm = serve(true, hand, kConns, payload);
+    const auto plain = bench::echo_throughput(setup, std::nullopt, payload);
+    const auto sec_c = bench::echo_throughput(setup, c_port, payload);
+    const auto sec_asm = bench::echo_throughput(setup, hand, payload);
     const double slow_c = plain.bytes_per_second() / sec_c.bytes_per_second();
     const double slow_asm =
         plain.bytes_per_second() / sec_asm.bytes_per_second();

@@ -84,8 +84,9 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   services::ServiceBoardConfig cfg = bench::board_config("e12");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
-  cfg.redirector.crypto_cycles_handshake = 2'000'000;
-  cfg.redirector.crypto_cycles_resumed_handshake = 500'000;
+  cfg.redirector.crypto_cycles_handshake = bench::kFullHandshakeCycles;
+  cfg.redirector.crypto_cycles_resumed_handshake =
+      bench::kResumedHandshakeCycles;
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
   services::ServiceBoard board(world.medium, cfg);

@@ -1,9 +1,11 @@
-// The world every soak builds around the service (DESIGN.md §4): a seeded
-// SimNet, the echo backend at 2:8000, the client host at 3 and, where a soak
-// needs them, a bare board stack at 1 and an attacker host at 4 — plus the
-// service config, client factory, echo session and audit helpers the soaks
-// share. Poll order is behaviour, so the world runs no loop: each soak polls
-// the pieces in its own order and keeps its own scenario and gates.
+// The world every service bench builds around the service (DESIGN.md §4):
+// a seeded SimNet, the echo backend at 2:8000, the client host at 3 and,
+// where a bench needs them, a bare board stack at 1 and an attacker host at
+// 4 — plus the service config, client factory, echo session and audit
+// helpers the benches share, and the two-stack pair E6 and E11 run a lone
+// handshake over. Poll order is behaviour, so the world runs no loop: each
+// bench polls the pieces in its own order and keeps its own scenario and
+// gates.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +28,18 @@ inline constexpr net::IpAddr kBackendIp = 2;
 inline constexpr net::IpAddr kClientIp = 3;
 inline constexpr net::IpAddr kAttackerIp = 4;
 inline constexpr net::Port kBackendPort = 8000;
+
+/// Handshake charges for the benches that do not price crypto on the board:
+/// round figures, not measured. A full handshake costs the board ~2M cycles
+/// (PRF + MACs + the key exchange it would have run), an abbreviated one
+/// ~0.5M (PRF + MACs only).
+inline constexpr u64 kFullHandshakeCycles = 2'000'000;
+inline constexpr u64 kResumedHandshakeCycles = 500'000;
+
+/// `cycles` of the board clock in ms.
+inline double board_ms(double cycles) {
+  return cycles / static_cast<double>(rabbit::Board::kCyclesPerMs);
+}
 
 /// The service every soak runs: listen on 4433, forward to the echo backend,
 /// secure with `psk`; every other field keeps its default.
@@ -104,6 +118,47 @@ struct SoakWorld {
       if (h != nullptr) n += (h->*stat)();
     }
     return n;
+  }
+};
+
+/// One TCP connection between two bare stacks on a fresh medium seeded
+/// `seed` — the server at 1 listening on 4433, the client at 2 — with an
+/// issl byte stream on each end: what E6 and E11 run one handshake over.
+struct HandshakePair {
+  explicit HandshakePair(u64 seed)
+      : medium(seed),
+        server_stack(medium, 1),
+        client_stack(medium, 2),
+        listener(*server_stack.listen(4433)),
+        client_stream(client_stack, *client_stack.connect(1, 4433)),
+        server_stream(server_stack, accept_after_syn()) {}
+  HandshakePair(const HandshakePair&) = delete;
+  HandshakePair& operator=(const HandshakePair&) = delete;
+
+  /// Pump both sessions a step per virtual ms until both are established
+  /// or 5,000 steps pass; returns the virtual ms that took.
+  u64 handshake(issl::Session& client, issl::Session& server) {
+    const u64 t0 = medium.now_ms();
+    for (int i = 0; i < 5'000; ++i) {
+      (void)client.pump();
+      (void)server.pump();
+      medium.tick(1);
+      if (client.established() && server.established()) break;
+    }
+    return medium.now_ms() - t0;
+  }
+
+  net::SimNet medium;
+  net::TcpStack server_stack;
+  net::TcpStack client_stack;
+  int listener;
+  issl::TcpStream client_stream;
+  issl::TcpStream server_stream;
+
+ private:
+  int accept_after_syn() {
+    medium.tick(20);
+    return *server_stack.accept(listener);
   }
 };
 

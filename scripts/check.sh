@@ -6,7 +6,10 @@
 #    bignum kernels at every limb width the tests sweep), then E9-E12 and
 #    E14-E17 twice each at fixed seeds. Each bench's own PASS/FAIL gate
 #    counts, and the two passes must agree (trace, pcap and CSV by digest).
-# 3. dispatch matrix: E1 and E9 agree under RMC_DISPATCH=fast and =legacy.
+# 3. dispatch matrix: E1 and E14 agree under RMC_DISPATCH=fast and =legacy.
+#    Both run kernels on the simulated CPU (E1 the C and asm AES builds, E14
+#    those and the C SHA-1 block), so the two interpreters must count the
+#    same cycles.
 # 4. baseline: one scripts/run_benches.sh run (Release, snapshot arguments)
 #    must match the committed bench/snapshots/: the JSON of E1-E7, E9-E12,
 #    E14-E17 and ABLATION, and E12's trace and pcap and E17's CSV through
@@ -75,15 +78,13 @@ san_benches "$tmp/san2" >/dev/null  # the determinism rerun
 bench_diff "$tmp/san1" "$tmp/san2"
 
 echo
-echo "== dispatch matrix: fast vs legacy => identical E1/E9 json =="
+echo "== dispatch matrix: fast vs legacy => identical E1/E14 json =="
 # The predecoded fast interpreter must be an execution-order no-op: the same
 # bench under RMC_DISPATCH=fast and RMC_DISPATCH=legacy emits the same JSON.
-for entry in E1:bench_aes_asm_vs_c E9:bench_fault_soak; do
+for entry in E1:bench_aes_asm_vs_c E14:bench_crypto_offload; do
   id="${entry%%:*}" bin="${entry#*:}"
-  extra=()
-  [[ "$id" == E9 ]] && extra=(--seed 233)
   for mode in fast legacy; do
-    RMC_DISPATCH=$mode "$repo_root/build/bench/$bin" "${extra[@]}" \
+    RMC_DISPATCH=$mode "$repo_root/build/bench/$bin" \
       --json "$tmp/${id}_$mode.json" >/dev/null
   done
   bench_diff "$tmp/${id}_fast.json" "$tmp/${id}_legacy.json"

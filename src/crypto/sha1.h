@@ -15,6 +15,14 @@ using common::u8;
 
 inline constexpr std::size_t kSha1DigestBytes = 20;
 
+/// Compressions to hash `n` bytes of message (plus 9 of padding + length).
+constexpr common::u64 sha1_blocks(std::size_t n) { return (n + 9 + 63) / 64; }
+/// Compressions of one HMAC-SHA1: two key-pad blocks, the message and the
+/// 20-byte inner digest.
+constexpr common::u64 hmac_sha1_blocks(std::size_t msg_bytes) {
+  return 2 + sha1_blocks(msg_bytes) + sha1_blocks(kSha1DigestBytes);
+}
+
 /// Incremental SHA-1 (FIPS 180-1).
 class Sha1 {
  public:

@@ -58,13 +58,6 @@ struct SoftwareCost {
 };
 constexpr SoftwareCost kCCost{70'000, 21'000, 50'000};
 constexpr SoftwareCost kAsmCost{7'000, 7'000, 5'000};
-
-u64 sha1_blocks(std::size_t bytes) { return (bytes + 9 + 63) / 64; }
-
-u64 software_hmac_cycles(const SoftwareCost& c, std::size_t msg_bytes) {
-  return (1 + sha1_blocks(msg_bytes) + 1 + sha1_blocks(20)) *
-         c.sha1_block_cycles;
-}
 }  // namespace
 
 void RecordCodec::note_malformed() {
@@ -116,7 +109,7 @@ Status RecordCodec::activate_keys(const DirectionKeys& send,
 std::vector<u8> RecordCodec::mac_input(u64 seq, RecordType type,
                                        std::span<const u8> plaintext) const {
   std::vector<u8> msg;
-  msg.reserve(9 + plaintext.size());
+  msg.reserve(kMacHeaderBytes + plaintext.size());
   for (int i = 7; i >= 0; --i) msg.push_back(static_cast<u8>(seq >> (8 * i)));
   msg.push_back(static_cast<u8>(type));
   msg.insert(msg.end(), plaintext.begin(), plaintext.end());
@@ -127,6 +120,7 @@ common::Result<std::array<u8, 20>> RecordCodec::record_mac(
     const DirectionKeys& keys, u64 seq, RecordType type,
     std::span<const u8> plaintext) {
   const auto msg = mac_input(seq, type, plaintext);
+  const u64 blocks = crypto::hmac_sha1_blocks(msg.size());
   switch (effective_backend_) {
     case Backend::kEngine: {
       const u64 before = engine_->stall_cycles_total();
@@ -135,10 +129,10 @@ common::Result<std::array<u8, 20>> RecordCodec::record_mac(
       return digest;
     }
     case Backend::kAsm:
-      crypto_cost_cycles_ += software_hmac_cycles(kAsmCost, msg.size());
+      crypto_cost_cycles_ += blocks * kAsmCost.sha1_block_cycles;
       break;
     case Backend::kC:
-      crypto_cost_cycles_ += software_hmac_cycles(kCCost, msg.size());
+      crypto_cost_cycles_ += blocks * kCCost.sha1_block_cycles;
       break;
   }
   return crypto::hmac_sha1(keys.mac_key, msg);

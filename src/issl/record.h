@@ -48,6 +48,15 @@ inline constexpr std::size_t kMaxRecordPayload = 16 * 1024;
 /// claiming more is malformed by construction and poisons the codec before
 /// a single body byte is buffered on its behalf.
 inline constexpr std::size_t kMaxRecordLen = kMaxRecordPayload + 64;
+/// A record's MAC input ahead of its payload: seq(8) || type(1).
+inline constexpr std::size_t kMacHeaderBytes = 9;
+/// AES blocks (the PKCS#7-padded payload || MAC; the IV is drawn, not
+/// enciphered) and HMAC compressions to seal or open one record.
+struct RecordBlocks { u64 aes, sha1; };
+constexpr RecordBlocks record_blocks(std::size_t payload) {
+  return {(payload + crypto::kSha1DigestBytes) / crypto::kAesBlockBytes + 1,
+          crypto::hmac_sha1_blocks(kMacHeaderBytes + payload)};
+}
 
 struct Record {
   RecordType type;

@@ -53,6 +53,7 @@ const char* reset_cause_name(ResetCause cause);
 class Board {
  public:
   static constexpr double kClockHz = 30.0e6;  // 30 MHz part (paper §4)
+  static constexpr u64 kCyclesPerMs = static_cast<u64>(kClockHz) / 1000;
   static constexpr u16 kStackTop = 0xDFF0;
   static constexpr u16 kCallSentinel = 0x0004;  // HALT parked here
   static constexpr u16 kSerialBase = 0x00C0;

@@ -5,12 +5,6 @@
 
 namespace rmc::rabbit {
 
-namespace {
-// SHA-1 block count including the 9+ bytes of trailer padding, matching the
-// arithmetic the issl cost model uses for software HMAC.
-u64 sha1_blocks(std::size_t bytes) { return (bytes + 9 + 63) / 64; }
-}  // namespace
-
 u32 CryptoCell::read_addr24(u32 phys) const {
   return static_cast<u32>(mem_->read_phys(phys)) |
          (static_cast<u32>(mem_->read_phys(phys + 1)) << 8) |
@@ -232,8 +226,7 @@ CryptoCellError CryptoCell::execute(u32 desc) {
       // Inner hash: key-pad block + message blocks; outer hash: key-pad
       // block + the 20-byte inner digest — the shape of the software model.
       charge(cost + dma_cycles(len + crypto::kSha1DigestBytes) +
-             (1 + sha1_blocks(len) + 1 + sha1_blocks(20)) *
-                 timing_.sha1_block_cycles);
+             crypto::hmac_sha1_blocks(len) * timing_.sha1_block_cycles);
       return CryptoCellError::kNone;
     }
   }

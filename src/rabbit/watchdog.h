@@ -33,7 +33,7 @@ class Watchdog : public IoDevice {
   static constexpr u8 kDisable1 = 0x51;
   static constexpr u8 kDisable2 = 0x54;
 
-  explicit Watchdog(u16 base, u64 clock_hz = 30'000'000)
+  Watchdog(u16 base, u64 clock_hz)
       : base_(base),
         clock_hz_(clock_hz),
         period_cycles_(2 * clock_hz),

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "rabbit/board.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -13,6 +14,7 @@ using dynk::WaitFor;
 using dynk::Yield;
 
 namespace {
+constexpr common::u64 kCyclesPerMs = rabbit::Board::kCyclesPerMs;
 // Shared across both redirector structures (Figure 2 and Figure 3) so the
 // E4/E5 benches report one set of service-level numbers per run.
 telemetry::Counter& served_counter() {
@@ -393,13 +395,13 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
                 ? config_.crypto_cycles_resumed_handshake
                 : config_.crypto_cycles_handshake;
         if (hs_cycles > 0) {
-          co_await scheduler_.delay(static_cast<common::u32>(
-              hs_cycles / 30'000));
+          co_await scheduler_.delay(
+              static_cast<common::u32>(hs_cycles / kCyclesPerMs));
         }
         // Start -> established-and-ready, crypto cost model included, in
         // virtual cycles. Separate curves: the resumption speedup is the
         // whole point of the abbreviated path.
-        const u64 cycles = (scheduler_.now_ms() - hs_start_ms) * 30'000;
+        const u64 cycles = (scheduler_.now_ms() - hs_start_ms) * kCyclesPerMs;
         (session->resumed() ? hs_resumed_hist() : hs_full_hist())
             .record(cycles);
       }
@@ -480,10 +482,10 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
             }
           }
           // Pay off accumulated cipher work in whole virtual milliseconds.
-          if (crypto_cycles_owed >= 30'000) {
+          if (crypto_cycles_owed >= kCyclesPerMs) {
             const common::u32 ms =
-                static_cast<common::u32>(crypto_cycles_owed / 30'000);
-            crypto_cycles_owed %= 30'000;
+                static_cast<common::u32>(crypto_cycles_owed / kCyclesPerMs);
+            crypto_cycles_owed %= kCyclesPerMs;
             co_await scheduler_.delay(ms);
           }
         }
@@ -518,7 +520,7 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
         const u64 s = stack_.rtt_samples(backend);
         if (s != rtt_seen) {
           rtt_seen = s;
-          forward_rtt_hist().record(stack_.last_rtt_ms(backend) * 30'000);
+          forward_rtt_hist().record(stack_.last_rtt_ms(backend) * kCyclesPerMs);
         }
       }
       // Per-slot watchdog: no bytes either direction for the whole idle

@@ -1,6 +1,5 @@
 #include "services/supervisor.h"
 
-#include "rabbit/board.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -21,7 +20,7 @@ void count_reset(FaultKind fault, common::u64 recovery_ms) {
   static telemetry::Gauge& cause =
       telemetry::Registry::global().gauge("redirector.last_reset_cause");
   resets.add();
-  cycles.add(recovery_ms * ServiceBoard::kCyclesPerMs);
+  cycles.add(recovery_ms * rabbit::Board::kCyclesPerMs);
   cause.set(static_cast<telemetry::i64>(fault));
   // Per-cause counters (board.resets.watchdog / .power-cut / .xalloc) are
   // created only for causes that actually fire. Handles cached per cause —
@@ -57,7 +56,7 @@ ServiceBoard::ServiceBoard(net::SimNet& net, ServiceBoardConfig config)
     : net_(net),
       config_(std::move(config)),
       battery_(config_.battery_log_bytes),
-      wdt_(rabbit::Board::kWatchdogBase, 30'000'000) {
+      wdt_(rabbit::Board::kWatchdogBase, rabbit::Board::kCyclesPerMs * 1000) {
   battery_.durable.attach_power(&power_);
   battery_.session_cache.attach_power(&power_);
   power_.arm(config_.power_plan);
@@ -103,7 +102,7 @@ void ServiceBoard::boot() {
   (void)redirector_->start();  // re-arms every costatement (Figure 3)
 
   wdt_.power_on_reset();
-  wdt_.set_period_cycles(config_.wdt_period_ms * kCyclesPerMs);
+  wdt_.set_period_cycles(config_.wdt_period_ms * rabbit::Board::kCyclesPerMs);
   up_ = true;
 
   telemetry::Tracer::global().emit(
@@ -183,7 +182,7 @@ void ServiceBoard::poll() {
     redirector_->poll();
     wdt_.hit();
   }
-  wdt_.tick(kCyclesPerMs);
+  wdt_.tick(rabbit::Board::kCyclesPerMs);
   if (wdt_.fired()) {
     ++wdt_bites_;
     go_down(FaultKind::kWatchdogBite);

@@ -34,7 +34,7 @@
 
 #include "dynk/allocfault.h"
 #include "dynk/power.h"
-#include "rabbit/watchdog.h"
+#include "rabbit/board.h"
 #include "services/redirector.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/timeseries.h"
@@ -103,8 +103,6 @@ struct ServiceBoardConfig {
 
 class ServiceBoard {
  public:
-  static constexpr common::u64 kCyclesPerMs = 30'000;  // 30 MHz board
-
   ServiceBoard(net::SimNet& net, ServiceBoardConfig config);
   ~ServiceBoard();
 
@@ -150,7 +148,7 @@ class ServiceBoard {
   common::u64 last_recovery_ms() const { return last_recovery_ms_; }
   common::u64 total_recovery_ms() const { return total_recovery_ms_; }
   common::u64 last_recovery_cycles() const {
-    return last_recovery_ms_ * kCyclesPerMs;
+    return last_recovery_ms_ * rabbit::Board::kCyclesPerMs;
   }
 
   /// Battery-log snapshot taken when the watchdog bit (the post-mortem the

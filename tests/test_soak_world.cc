@@ -1,6 +1,8 @@
-// The shared soak world (bench/soak_world.h): the chunked echo session every
-// soak drives through the redirector, the end-of-run prefix audit, and the
-// budgeted one-session loop.
+// The shared bench world (bench/soak_world.h): the chunked echo session every
+// soak drives through the redirector, the end-of-run prefix audit, the
+// budgeted one-session loop and the two-stack handshake pair; and the
+// board-measured crypto price (bench/crypto_cost.h) with the record block
+// counts it is charged by.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "crypto_cost.h"
+#include "issl/record.h"
 #include "soak_world.h"
 
 namespace rmc::bench {
@@ -121,6 +125,63 @@ TEST(SoakWorld, RunSessionCountsEveryMsUpToCompletion) {
     world.medium.tick(1);
   }));
   EXPECT_EQ(t, steps);
+}
+
+TEST(HandshakePair, PskHandshakeTakesE6sFiveMessages) {
+  HandshakePair pair(0xE6);
+  common::Xorshift64 srng(1), crng(2);
+  const issl::Config cfg = issl::Config::embedded_port();
+  const std::vector<u8> psk = common::bytes_of("e6");
+  issl::ServerIdentity id;
+  id.psk = psk;
+  auto server = issl::issl_bind_server(pair.server_stream, cfg, srng, id);
+  auto client = issl::issl_bind_client(pair.client_stream, cfg, crng, psk);
+  const u64 ms = pair.handshake(client, server);
+  ASSERT_TRUE(client.established());
+  ASSERT_TRUE(server.established());
+  EXPECT_EQ(
+      client.handshake_messages_seen() + server.handshake_messages_seen(), 5u);
+  EXPECT_EQ(ms, 5u);
+}
+
+// E5's committed per-byte and handshake charges, from the primitive costs
+// it measures for the C port and the asm treatment.
+TEST(CryptoCost, CipherCostOfE5sMeasuredKernels) {
+  const CipherCost c_port = cipher_cost({129'569, 374'995, 668'675});
+  EXPECT_EQ(c_port.cycles_per_byte, 33'885u);
+  EXPECT_EQ(c_port.handshake_cycles, 14'840'419u);
+  const CipherCost hand = cipher_cost({7'416, 17'666, 31'501});
+  EXPECT_EQ(hand.cycles_per_byte, 1'596u);
+  EXPECT_EQ(hand.handshake_cycles, 700'438u);
+}
+
+TEST(CryptoCost, AsmSha1IsCScaledByTheAesRatio) {
+  EXPECT_EQ(asm_sha1_block(668'675, 17'666, 374'995), 31'501u);
+}
+
+// The exported block counts, priced by record.cc's C-port model (70,000
+// cycles per AES block, 21,000 per SHA-1 compression), are what sealing a
+// record charges; the AES count is also the ciphertext the record carries.
+TEST(RecordBlocks, MatchWhatSealCharges) {
+  EXPECT_EQ(issl::record_blocks(16).aes, 3u);
+  EXPECT_EQ(issl::record_blocks(16).sha1, 4u);
+  for (const std::size_t payload : {0u, 16u, 55u, 64u, 4096u}) {
+    common::Xorshift64 rng(1);
+    issl::RecordCodec codec(rng, issl::Backend::kC);
+    issl::DirectionKeys keys;
+    keys.aes_key.assign(16, 0x11);
+    ASSERT_TRUE(codec.activate_keys(keys, keys).is_ok());
+    const u64 before = codec.crypto_cost_cycles();
+    const auto wire = codec.seal(issl::RecordType::kApplicationData,
+                                 std::vector<u8>(payload, 0xAB));
+    ASSERT_TRUE(wire.ok());
+    const issl::RecordBlocks blocks = issl::record_blocks(payload);
+    EXPECT_EQ(codec.crypto_cost_cycles() - before,
+              blocks.aes * 70'000 + blocks.sha1 * 21'000)
+        << payload;
+    EXPECT_EQ(wire->size(), issl::kRecordHeaderBytes + 16 + blocks.aes * 16)
+        << payload;
+  }
 }
 
 }  // namespace
